@@ -14,6 +14,7 @@
 //	adccbench -experiment fig4 -events     # stream per-case progress events
 //	adccbench -list                        # list experiments
 //	adccbench -bench -json out.json        # machine-readable benchmark suite
+//	adccbench -experiment all -cpuprofile cpu.out -memprofile mem.out  # runtime/pprof profiles
 //
 //	# statistical crash-injection campaign; -json adds the full report,
 //	# -fault sweeps richer crash-time fault/persistency models:
@@ -43,6 +44,7 @@ import (
 	"time"
 
 	"adcc/pkg/adcc"
+	"adcc/pkg/adcc/profiling"
 )
 
 // defaultBenchScale is the harness scale -bench uses when -scale is not
@@ -58,7 +60,9 @@ const defaultBenchScale = 0.05
 // cost.
 var benchExperiments = []string{"fig3", "fig4", "fig8", "fig13", "stencil", "kvlog", "campaign"}
 
-func main() {
+func main() { os.Exit(runMain()) }
+
+func runMain() (code int) {
 	var (
 		expFlag   = flag.String("experiment", "all", "comma-separated experiment names, or 'all'")
 		scale     = flag.Float64("scale", 1.0, "problem-size scale factor (1.0 = paper-shape defaults)")
@@ -72,14 +76,28 @@ func main() {
 		faultFlag = flag.String("fault", "", "comma-separated crash-time fault models the campaign experiment sweeps (failstop, torn, eadr, reorder, bitflip); empty = fail-stop only")
 		jsonPath  = flag.String("json", "", "with -bench: write the enveloped JSON suite to this file instead of stdout; with -experiment campaign: write the enveloped campaign report here")
 		storePath = flag.String("store", "", "write the campaign experiment's raw per-injection rows to a columnar result store at this path (query with adccquery)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	)
 	flag.Parse()
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "adccbench: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "adccbench: %v\n", err)
+			code = max(code, 1)
+		}
+	}()
 
 	if *listOnly {
 		for _, e := range adcc.Experiments() {
 			fmt.Printf("  %-10s %s\n", e.Name, e.Title)
 		}
-		return
+		return 0
 	}
 
 	// -bench without an explicit -scale runs at the reduced bench
@@ -121,7 +139,7 @@ func main() {
 	}
 
 	if *benchMode {
-		os.Exit(runBench(opts, *jsonPath, *storePath, effScale, *verbose))
+		return runBench(opts, *jsonPath, *storePath, effScale, *verbose)
 	}
 
 	var selected []string
@@ -138,7 +156,7 @@ func main() {
 			name = strings.TrimSpace(name)
 			if !known[name] {
 				fmt.Fprintf(os.Stderr, "adccbench: unknown experiment %q (use -list)\n", name)
-				os.Exit(2)
+				return 2
 			}
 			selected = append(selected, name)
 		}
@@ -172,8 +190,9 @@ func main() {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // runBench executes the kernel micro-benchmarks and the timed harness

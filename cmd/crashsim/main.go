@@ -31,6 +31,11 @@
 //
 //	crashsim -workload cg -occurrence 15 -fault torn
 //	crashsim -workload mc -campaign -fault failstop,torn,eadr,reorder,bitflip
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run
+// (read them with go tool pprof):
+//
+//	crashsim -workload mc -campaign -replay -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -41,9 +46,12 @@ import (
 	"strings"
 
 	"adcc/pkg/adcc"
+	"adcc/pkg/adcc/profiling"
 )
 
-func main() {
+func main() { os.Exit(runMain()) }
+
+func runMain() (code int) {
 	var (
 		workload   = flag.String("workload", "cg", "workload: cg, mm, mc, stencil, or kvlog")
 		n          = flag.Int("n", 6000, "problem size (CG order / MM dimension / stencil grid, default 160 for stencil)")
@@ -62,8 +70,22 @@ func main() {
 		jsonPath      = flag.String("json", "", "with -campaign: write the machine-readable campaign report to this file")
 		storePath     = flag.String("store", "", "with -campaign: write every injection's raw outcome row to a columnar result store at this path (query with adccquery)")
 		replay        = flag.Bool("replay", false, "with -campaign: use the snapshot/fork replay engine (same report, far less wall time)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this file at exit")
 	)
 	flag.Parse()
+	stop, err := profiling.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "crashsim: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stop(); err != nil {
+			fmt.Fprintf(os.Stderr, "crashsim: %v\n", err)
+			code = max(code, 1)
+		}
+	}()
 
 	if *campaignMode {
 		// The campaign builds its own machines and sweeps its own crash
@@ -81,9 +103,9 @@ func main() {
 		})
 		if conflict != "" {
 			fmt.Fprintf(os.Stderr, "crashsim: -%s applies to single-point mode and is ignored by -campaign (the campaign sweeps both platforms with its own sizes); drop it\n", conflict)
-			os.Exit(2)
+			return 2
 		}
-		os.Exit(runCampaign(*workload, *campaignScale, *parallel, *jsonPath, *storePath, *replay, faultNames(*faultFlag)))
+		return runCampaign(*workload, *campaignScale, *parallel, *jsonPath, *storePath, *replay, faultNames(*faultFlag))
 	}
 
 	// Single-point mode crashes exactly once, so it takes one fault
@@ -91,12 +113,12 @@ func main() {
 	var fault adcc.FaultModel
 	if names := faultNames(*faultFlag); len(names) > 1 {
 		fmt.Fprintf(os.Stderr, "crashsim: -fault takes one model in single-point mode (a comma-separated list needs -campaign)\n")
-		os.Exit(2)
+		return 2
 	} else if len(names) == 1 {
 		var err error
 		if fault, err = adcc.ParseFaultModel(names[0]); err != nil {
 			fmt.Fprintf(os.Stderr, "crashsim: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -122,7 +144,7 @@ func main() {
 	em := adcc.NewEmulator(m)
 	if err := em.SetFault(fault); err != nil {
 		fmt.Fprintf(os.Stderr, "crashsim: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	em.OnCrash = func(m *adcc.Machine) {
 		fmt.Printf("--- crash fired (op %d, trigger %q) ---\n", em.OpCount(), em.CrashTrigger())
@@ -214,7 +236,7 @@ func main() {
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "crashsim: unknown workload %q\n", *workload)
-		os.Exit(2)
+		return 2
 	}
 
 	if *crashOp > 0 {
@@ -223,7 +245,7 @@ func main() {
 	}
 	if !em.Run(run) {
 		fmt.Println("workload completed without reaching the crash point")
-		return
+		return 0
 	}
 	if err := em.FaultErr(); err != nil {
 		fmt.Printf("fault model fell back to fail-stop: %v\n", err)
@@ -231,6 +253,7 @@ func main() {
 	fmt.Printf("--- post-crash (restarted from NVM image) ---\n")
 	recover()
 	fmt.Printf("simulated time at exit: %.3f ms\n", float64(m.Clock.Now())/1e6)
+	return 0
 }
 
 // faultNames splits a -fault flag value into model names.

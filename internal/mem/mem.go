@@ -21,8 +21,9 @@ package mem
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
+	"unsafe"
 )
 
 // LineSize is the cache-line granularity of the simulated machine, in
@@ -65,30 +66,82 @@ type Region interface {
 	// Bytes returns the size of the region in bytes.
 	Bytes() int
 
-	// writeback copies [off, off+n) bytes from live to image.
-	writeback(off, n int)
-	// restore copies the whole image into the live slice (restart).
-	restore()
-	// syncImage copies the whole live slice into the image.
-	syncImage()
-	// versions returns the region's mutation counters.
-	versions() *vers
+	// state returns the region's word-level storage and counters.
+	state() *regionState
 }
 
-// vers carries a region's mutation counters. Every path that can
-// mutate the live slice bumps liveVer, every path that can mutate the
-// image bumps imageVer — including the raw Live/Image accessors, which
-// hand out mutable slices (a returned slice may be written later, so
-// the bump is conservative: false-dirty costs a copy, a missed
-// mutation would corrupt copy-on-write sharing). An unchanged counter
+// PageSize is the copy-on-write granularity of image snapshots, in
+// bytes: 64 lines. Pages are counted from a region's base, which is
+// line aligned, so a line never straddles two pages.
+const PageSize = 4096
+
+// pageWords is the number of 8-byte words in a page.
+const pageWords = PageSize / 8
+
+// regionState is the type-independent core of a region: its live and
+// image slices viewed as raw 8-byte words (floats by bit pattern), and
+// its mutation counters. Every path that can mutate the live slice
+// bumps liveVer; every path that can mutate the image bumps imageVer
+// and, in addition, either the version of each page it touched
+// (pageVer, for line-granular writebacks and word stores) or the
+// region-wide epoch (for whole-region mutators: Image, syncImage,
+// RestoreImages). The raw Live/Image accessors hand out mutable slices,
+// so their bump is conservative: false-dirty costs a copy, a missed
+// mutation would corrupt copy-on-write sharing. An unchanged counter
 // therefore proves unchanged contents; a changed counter proves
 // nothing.
-type vers struct {
-	liveVer  uint64
-	imageVer uint64
+type regionState struct {
+	liveW, imageW []uint64
+	liveVer       uint64
+	imageVer      uint64
+	epoch         uint64
+	pageVer       []uint64
 }
 
-func (v *vers) versions() *vers { return v }
+func (s *regionState) state() *regionState { return s }
+
+func newRegionState[T float64 | int64](live, image []T) regionState {
+	return regionState{
+		liveW:   wordsOf(live),
+		imageW:  wordsOf(image),
+		pageVer: make([]uint64, (len(live)+pageWords-1)/pageWords),
+	}
+}
+
+// wordsOf views an 8-byte numeric slice as its raw words. float64 and
+// int64 share size and alignment and hold no pointers, so the view is
+// exact; it lets one word-level path copy, hash and compare both region
+// types bit for bit.
+func wordsOf[T float64 | int64](s []T) []uint64 {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&s[0])), len(s))
+}
+
+// writeback copies bytes [off, off+n) from live to image.
+func (s *regionState) writeback(off, n int) {
+	lo := off / 8
+	hi := min((off+n+7)/8, len(s.liveW))
+	s.imageVer++
+	for p := off / PageSize; p <= (off+n-1)/PageSize; p++ {
+		s.pageVer[p]++
+	}
+	copy(s.imageW[lo:hi], s.liveW[lo:hi])
+}
+
+// restore copies the whole image into the live slice (restart).
+func (s *regionState) restore() {
+	s.liveVer++
+	copy(s.liveW, s.imageW)
+}
+
+// syncImage copies the whole live slice into the image.
+func (s *regionState) syncImage() {
+	s.imageVer++
+	s.epoch++
+	copy(s.imageW, s.liveW)
+}
 
 // Heap allocates regions at line-aligned simulated addresses and routes
 // writebacks from the cache simulator to the owning region.
@@ -173,7 +226,7 @@ func (h *Heap) Writeback(a Addr, size int) {
 		// find has primed lastBase/lastEnd with r's bounds.
 		off := int(a - h.lastBase)
 		n := min(size, int(h.lastEnd-a))
-		r.writeback(off, n)
+		r.state().writeback(off, n)
 		a += Addr(n)
 		size -= n
 	}
@@ -206,7 +259,7 @@ func (h *Heap) find(a Addr) Region {
 // that existed only in volatile state.
 func (h *Heap) RestartFromImage() {
 	for _, r := range h.regions {
-		r.restore()
+		r.state().restore()
 	}
 }
 
@@ -216,7 +269,7 @@ func (h *Heap) RestartFromImage() {
 func (h *Heap) SyncAllImages() {
 	h.imageVer++
 	for _, r := range h.regions {
-		r.syncImage()
+		r.state().syncImage()
 	}
 }
 
@@ -233,42 +286,35 @@ func (h *Heap) Regions() []Region { return h.regions }
 // version counters: fault-model overlays are computed from pre-crash
 // state and must not perturb copy-on-write snapshot sharing.
 func (h *Heap) ImageWord(a Addr) (uint64, bool) {
-	if a%8 != 0 {
+	s, i := h.word(a)
+	if s == nil {
 		return 0, false
 	}
-	r := h.find(a)
-	if r == nil {
-		return 0, false
-	}
-	i := int(a-h.lastBase) / 8
-	switch r := r.(type) {
-	case *F64:
-		return math.Float64bits(r.image[i]), true
-	case *I64:
-		return uint64(r.image[i]), true
-	}
-	return 0, false
+	return s.imageW[i], true
 }
 
 // LiveWord returns the live word at 8-byte-aligned address a as raw
 // bits, or ok=false when a is unaligned or unmapped. Like ImageWord it
 // observes without charging an access or bumping counters.
 func (h *Heap) LiveWord(a Addr) (uint64, bool) {
-	if a%8 != 0 {
+	s, i := h.word(a)
+	if s == nil {
 		return 0, false
+	}
+	return s.liveW[i], true
+}
+
+// word locates the 8-byte-aligned address a: its region's state and
+// word index, or nil when a is unaligned or unmapped.
+func (h *Heap) word(a Addr) (*regionState, int) {
+	if a%8 != 0 {
+		return nil, 0
 	}
 	r := h.find(a)
 	if r == nil {
-		return 0, false
+		return nil, 0
 	}
-	i := int(a-h.lastBase) / 8
-	switch r := r.(type) {
-	case *F64:
-		return math.Float64bits(r.live[i]), true
-	case *I64:
-		return uint64(r.live[i]), true
-	}
-	return 0, false
+	return r.state(), int(a-h.lastBase) / 8
 }
 
 // StorePersistWord overwrites both the live and image word at
@@ -276,39 +322,26 @@ func (h *Heap) LiveWord(a Addr) (uint64, bool) {
 // mapped. It is the post-crash primitive fault models use to rewrite
 // what "actually persisted" (a torn or reordered line, a flipped bit):
 // after a crash live equals image, so both copies must move together.
-// The owning region's version counters are bumped exactly like a
-// writeback followed by a restart, so copy-on-write snapshot sharing
-// and restore memoization stay sound.
+// The owning region's counters, including the word's page version, are
+// bumped exactly like a writeback followed by a restart, so
+// copy-on-write snapshot sharing and restore memoization stay sound.
 func (h *Heap) StorePersistWord(a Addr, w uint64) bool {
-	if a%8 != 0 {
+	s, i := h.word(a)
+	if s == nil {
 		return false
 	}
-	r := h.find(a)
-	if r == nil {
-		return false
-	}
-	i := int(a-h.lastBase) / 8
-	switch r := r.(type) {
-	case *F64:
-		f := math.Float64frombits(w)
-		r.live[i] = f
-		r.image[i] = f
-	case *I64:
-		r.live[i] = int64(w)
-		r.image[i] = int64(w)
-	default:
-		return false
-	}
-	v := r.versions()
-	v.liveVer++
-	v.imageVer++
+	s.liveW[i] = w
+	s.imageW[i] = w
+	s.liveVer++
+	s.imageVer++
+	s.pageVer[i/pageWords]++
 	h.imageVer++
 	return true
 }
 
 // F64 is a region of float64 elements.
 type F64 struct {
-	vers
+	regionState
 	h     *Heap
 	name  string
 	base  Addr
@@ -326,6 +359,7 @@ func (h *Heap) AllocF64(name string, n int) *F64 {
 		live:  make([]float64, n),
 		image: make([]float64, n),
 	}
+	r.regionState = newRegionState(r.live, r.image)
 	h.addRegion(r)
 	return r
 }
@@ -388,6 +422,7 @@ func (r *F64) StoreRange(i, n int) []float64 {
 // writebacks and restores.
 func (r *F64) Image() []float64 {
 	r.imageVer++
+	r.epoch++
 	r.h.imageVer++
 	return r.image
 }
@@ -399,29 +434,9 @@ func (r *F64) Live() []float64 {
 	return r.live
 }
 
-func (r *F64) writeback(off, n int) {
-	lo := off / 8
-	hi := (off + n + 7) / 8
-	if hi > len(r.live) {
-		hi = len(r.live)
-	}
-	r.imageVer++
-	copy(r.image[lo:hi], r.live[lo:hi])
-}
-
-func (r *F64) restore() {
-	r.liveVer++
-	copy(r.live, r.image)
-}
-
-func (r *F64) syncImage() {
-	r.imageVer++
-	copy(r.image, r.live)
-}
-
 // I64 is a region of int64 elements.
 type I64 struct {
-	vers
+	regionState
 	h     *Heap
 	name  string
 	base  Addr
@@ -439,6 +454,7 @@ func (h *Heap) AllocI64(name string, n int) *I64 {
 		live:  make([]int64, n),
 		image: make([]int64, n),
 	}
+	r.regionState = newRegionState(r.live, r.image)
 	h.addRegion(r)
 	return r
 }
@@ -493,6 +509,7 @@ func (r *I64) StoreRange(i, n int) []int64 {
 // Image returns the persistent NVM image of the region.
 func (r *I64) Image() []int64 {
 	r.imageVer++
+	r.epoch++
 	r.h.imageVer++
 	return r.image
 }
@@ -503,58 +520,19 @@ func (r *I64) Live() []int64 {
 	return r.live
 }
 
-func (r *I64) writeback(off, n int) {
-	lo := off / 8
-	hi := (off + n + 7) / 8
-	if hi > len(r.live) {
-		hi = len(r.live)
-	}
-	r.imageVer++
-	copy(r.image[lo:hi], r.live[lo:hi])
-}
-
-func (r *I64) restore() {
-	r.liveVer++
-	copy(r.live, r.image)
-}
-
-func (r *I64) syncImage() {
-	r.imageVer++
-	copy(r.image, r.live)
-}
-
 // String aids debugging.
 func (h *Heap) String() string {
 	return fmt.Sprintf("mem.Heap{regions=%d, next=%#x}", len(h.regions), h.next)
 }
 
-// HeapState is a deep-copy snapshot of every region's contents, taken
-// in address order: the live and image slices of all F64 regions
-// concatenated, then likewise for all I64 regions. Region layout
-// (count, order, lengths, addresses) is not captured — a snapshot may
-// only be restored onto a heap with the identical allocation history,
-// which Restore validates.
+// HeapState is a deep-copy snapshot of every region's contents: the
+// live and image words of all regions, each concatenated in address
+// order. Region layout (count, order, lengths, addresses) is not
+// captured — a snapshot may only be restored onto a heap with the
+// identical allocation history, which Restore validates.
 type HeapState struct {
-	F64Live  []float64
-	F64Image []float64
-	I64Live  []int64
-	I64Image []int64
-
-	regions int
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
+	live, image []uint64
+	regions     int
 }
 
 // Snapshot deep-copies all region contents into st and returns it. A
@@ -565,34 +543,16 @@ func (h *Heap) Snapshot(st *HeapState) *HeapState {
 	if st == nil {
 		st = &HeapState{}
 	}
-	nf, ni := 0, 0
-	for _, r := range h.regions {
-		switch r := r.(type) {
-		case *F64:
-			nf += len(r.live)
-		case *I64:
-			ni += len(r.live)
-		default:
-			panic(fmt.Sprintf("mem: cannot snapshot region type %T", r))
-		}
-	}
+	n := h.words()
 	st.regions = len(h.regions)
-	st.F64Live = growF64(st.F64Live, nf)
-	st.F64Image = growF64(st.F64Image, nf)
-	st.I64Live = growI64(st.I64Live, ni)
-	st.I64Image = growI64(st.I64Image, ni)
-	f, i := 0, 0
+	st.live = slices.Grow(st.live[:0], n)[:n]
+	st.image = slices.Grow(st.image[:0], n)[:n]
+	off := 0
 	for _, r := range h.regions {
-		switch r := r.(type) {
-		case *F64:
-			copy(st.F64Live[f:], r.live)
-			copy(st.F64Image[f:], r.image)
-			f += len(r.live)
-		case *I64:
-			copy(st.I64Live[i:], r.live)
-			copy(st.I64Image[i:], r.image)
-			i += len(r.live)
-		}
+		s := r.state()
+		copy(st.live[off:], s.liveW)
+		copy(st.image[off:], s.imageW)
+		off += len(s.liveW)
 	}
 	return st
 }
@@ -601,66 +561,37 @@ func (h *Heap) Snapshot(st *HeapState) *HeapState {
 // The heap must have the identical allocation history as the heap st
 // was captured from; a region-count or length mismatch panics.
 func (h *Heap) Restore(st *HeapState) {
-	if st.regions != len(h.regions) {
-		panic(fmt.Sprintf("mem: restore of %d-region state onto %d-region heap",
-			st.regions, len(h.regions)))
+	if n := h.words(); st.regions != len(h.regions) || len(st.live) != n {
+		panic(fmt.Sprintf("mem: restore of %d-region %d-word state onto %d-region %d-word heap",
+			st.regions, len(st.live), len(h.regions), n))
 	}
-	f, i := 0, 0
+	off := 0
 	for _, r := range h.regions {
-		switch r := r.(type) {
-		case *F64:
-			copy(r.live, st.F64Live[f:])
-			copy(r.image, st.F64Image[f:])
-			f += len(r.live)
-		case *I64:
-			copy(r.live, st.I64Live[i:])
-			copy(r.image, st.I64Image[i:])
-			i += len(r.live)
-		}
+		s := r.state()
+		copy(s.liveW, st.live[off:])
+		copy(s.imageW, st.image[off:])
+		off += len(s.liveW)
+		s.liveVer++
+		s.imageVer++
+		s.epoch++
 	}
-	if f != len(st.F64Live) || i != len(st.I64Live) {
-		panic(fmt.Sprintf("mem: restore length mismatch (f64 %d != %d or i64 %d != %d)",
-			f, len(st.F64Live), i, len(st.I64Live)))
-	}
+	h.imageVer++
 }
 
-// ImagesEqual reports whether the persistent images of two snapshots of
-// the same heap are bit-identical. Floats compare by bit pattern, so
-// distinct NaN payloads count as different (never as spuriously equal).
-func (a *HeapState) ImagesEqual(b *HeapState) bool {
-	if len(a.F64Image) != len(b.F64Image) || len(a.I64Image) != len(b.I64Image) {
-		return false
+// words returns the total number of words in all regions.
+func (h *Heap) words() int {
+	n := 0
+	for _, r := range h.regions {
+		n += len(r.state().liveW)
 	}
-	for i, v := range a.F64Image {
-		if math.Float64bits(v) != math.Float64bits(b.F64Image[i]) {
-			return false
-		}
-	}
-	for i, v := range a.I64Image {
-		if v != b.I64Image[i] {
-			return false
-		}
-	}
-	return true
+	return n
 }
 
 // Equal reports whether two snapshots are bit-identical in both live
-// and image contents.
+// and image contents (floats by bit pattern, so distinct NaN payloads
+// count as different, never as spuriously equal).
 func (a *HeapState) Equal(b *HeapState) bool {
-	if !a.ImagesEqual(b) || len(a.F64Live) != len(b.F64Live) || len(a.I64Live) != len(b.I64Live) {
-		return false
-	}
-	for i, v := range a.F64Live {
-		if math.Float64bits(v) != math.Float64bits(b.F64Live[i]) {
-			return false
-		}
-	}
-	for i, v := range a.I64Live {
-		if v != b.I64Live[i] {
-			return false
-		}
-	}
-	return true
+	return a.regions == b.regions && slices.Equal(a.live, b.live) && slices.Equal(a.image, b.image)
 }
 
 // FNV-1a parameters, used for all content hashing in this package.
@@ -677,77 +608,105 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// ImageHash returns an FNV-1a hash of the persistent images, a cheap
-// prefilter for ImagesEqual-based deduplication.
-func (a *HeapState) ImageHash() uint64 {
-	h := uint64(fnvOffset64)
-	for _, v := range a.F64Image {
-		h = fnvMix(h, math.Float64bits(v))
-	}
-	for _, v := range a.I64Image {
-		h = fnvMix(h, uint64(v))
-	}
-	return h
-}
-
 // ImageState is a copy-on-write snapshot of every region's persistent
-// image — the only heap state a crashed machine restarts from. Entries
+// image — the only heap state a crashed machine restarts from. Each
+// region is held as a table of PageSize pages. Pages and region entries
 // are immutable once created and are shared between successive
 // snapshots of the same heap: SnapshotImages reuses the previous
-// snapshot's entry for any region whose image version counter has not
-// moved, so capturing a crash point that persisted little since the
-// last one copies only the regions that actually changed.
+// snapshot's region entry when the region's image version has not
+// moved, and otherwise reuses each page whose version has not moved, so
+// capturing a crash point costs time and memory in proportion to the
+// pages that persisted since the last capture.
 type ImageState struct {
 	src     *Heap
 	regions []*imageRegion
 	hash    uint64
 }
 
-// imageRegion is one region's image copy. Exactly one of f64/i64 is
-// populated (matching the region type); ver is the region's image
-// version at capture time and hash is the FNV-1a hash of the contents.
-// An imageRegion is never mutated after SnapshotImages returns it.
+// imageRegion is one region's page table. epoch and ver are the
+// region's image epoch and image version at capture time; hash is the
+// FNV-1a hash of the page hashes.
 type imageRegion struct {
-	f64  []float64
-	i64  []int64
-	ver  uint64
-	hash uint64
+	epoch uint64
+	ver   uint64
+	pages []*imagePage
+	hash  uint64
+}
+
+// imagePage is one page of image words (the last page of a region may
+// be short). ver is the page version at capture time; hash is the
+// FNV-1a hash of the words.
+type imagePage struct {
+	words []uint64
+	ver   uint64
+	hash  uint64
 }
 
 // SnapshotImages captures the persistent images of all regions. If prev
-// is a snapshot of the same heap, any region whose image version is
-// unchanged since prev shares prev's entry instead of copying (the
-// version counters are bumped by every image-mutating path, so an equal
-// version proves equal contents).
+// is a snapshot of the same heap, a region whose image version is
+// unchanged since prev shares prev's entry, and within a changed region
+// whose epoch is unchanged, every page whose version is unchanged
+// shares prev's page (the counters are bumped by every image-mutating
+// path, so equal counters prove equal contents). The remaining pages
+// are copied and hashed into one slab per capture.
 func (h *Heap) SnapshotImages(prev *ImageState) *ImageState {
 	st := &ImageState{src: h, regions: make([]*imageRegion, len(h.regions))}
-	share := prev != nil && prev.src == h && len(prev.regions) <= len(h.regions)
-	hash := uint64(fnvOffset64)
+	if prev != nil && (prev.src != h || len(prev.regions) > len(h.regions)) {
+		prev = nil
+	}
+	// Pass 1: share what provably did not change; count what did.
+	nPages, nWords := 0, 0
+	fresh := make([]bool, len(h.regions))
 	for i, r := range h.regions {
-		v := r.versions()
-		if share && i < len(prev.regions) && prev.regions[i].ver == v.imageVer {
-			st.regions[i] = prev.regions[i]
-		} else {
-			e := &imageRegion{ver: v.imageVer}
-			eh := uint64(fnvOffset64)
-			switch r := r.(type) {
-			case *F64:
-				e.f64 = append([]float64(nil), r.image...)
-				for _, x := range e.f64 {
-					eh = fnvMix(eh, math.Float64bits(x))
-				}
-			case *I64:
-				e.i64 = append([]int64(nil), r.image...)
-				for _, x := range e.i64 {
-					eh = fnvMix(eh, uint64(x))
-				}
-			default:
-				panic(fmt.Sprintf("mem: cannot snapshot region type %T", r))
+		s := r.state()
+		var p *imageRegion
+		if prev != nil && i < len(prev.regions) {
+			p = prev.regions[i]
+			if p.ver == s.imageVer {
+				st.regions[i] = p
+				continue
 			}
-			e.hash = eh
-			st.regions[i] = e
+			if p.epoch != s.epoch {
+				p = nil
+			}
 		}
-		hash = fnvMix(hash, st.regions[i].hash)
+		e := &imageRegion{epoch: s.epoch, ver: s.imageVer, pages: make([]*imagePage, len(s.pageVer))}
+		for j, v := range s.pageVer {
+			if p != nil && p.pages[j].ver == v {
+				e.pages[j] = p.pages[j]
+				continue
+			}
+			nPages++
+			nWords += min(pageWords, len(s.imageW)-j*pageWords)
+		}
+		st.regions[i] = e
+		fresh[i] = true
+	}
+	// Pass 2: copy and hash the unshared pages.
+	slab := make([]uint64, nWords)
+	pages := make([]imagePage, nPages)
+	hash := uint64(fnvOffset64)
+	for i, e := range st.regions {
+		if fresh[i] {
+			s := h.regions[i].state()
+			e.hash = fnvOffset64
+			for j, pg := range e.pages {
+				if pg == nil {
+					src := s.imageW[j*pageWords : min((j+1)*pageWords, len(s.imageW))]
+					pg, pages = &pages[0], pages[1:]
+					pg.words, slab = slab[:len(src):len(src)], slab[len(src):]
+					copy(pg.words, src)
+					pg.ver = s.pageVer[j]
+					pg.hash = fnvOffset64
+					for _, w := range pg.words {
+						pg.hash = fnvMix(pg.hash, w)
+					}
+					e.pages[j] = pg
+				}
+				e.hash = fnvMix(e.hash, pg.hash)
+			}
+		}
+		hash = fnvMix(hash, e.hash)
 	}
 	st.hash = hash
 	return st
@@ -785,30 +744,23 @@ func (h *Heap) RestoreImages(st *ImageState) {
 	}
 	for i, e := range st.regions {
 		r := h.regions[i]
-		v := r.versions()
+		s := r.state()
 		mk := &h.imgMarks[i]
-		if mk.entry == e && mk.liveVer == v.liveVer && mk.imageVer == v.imageVer {
+		if mk.entry == e && mk.liveVer == s.liveVer && mk.imageVer == s.imageVer {
 			continue
 		}
-		switch r := r.(type) {
-		case *F64:
-			if len(e.f64) != len(r.live) {
-				panic(fmt.Sprintf("mem: image restore length mismatch on %q", r.name))
-			}
-			copy(r.live, e.f64)
-			copy(r.image, e.f64)
-		case *I64:
-			if len(e.i64) != len(r.live) {
-				panic(fmt.Sprintf("mem: image restore length mismatch on %q", r.name))
-			}
-			copy(r.live, e.i64)
-			copy(r.image, e.i64)
-		default:
-			panic(fmt.Sprintf("mem: cannot restore region type %T", r))
+		if len(e.pages) != len(s.pageVer) ||
+			(len(e.pages) > 0 && (len(e.pages)-1)*pageWords+len(e.pages[len(e.pages)-1].words) != len(s.imageW)) {
+			panic(fmt.Sprintf("mem: image restore length mismatch on %q", r.Name()))
 		}
-		v.liveVer++
-		v.imageVer++
-		*mk = imgMark{entry: e, liveVer: v.liveVer, imageVer: v.imageVer}
+		for j, pg := range e.pages {
+			copy(s.liveW[j*pageWords:], pg.words)
+			copy(s.imageW[j*pageWords:], pg.words)
+		}
+		s.liveVer++
+		s.imageVer++
+		s.epoch++
+		*mk = imgMark{entry: e, liveVer: s.liveVer, imageVer: s.imageVer}
 	}
 	h.imageVer++
 }
@@ -818,14 +770,15 @@ func (h *Heap) RestoreImages(st *ImageState) {
 func (a *ImageState) Hash() uint64 { return a.hash }
 
 // Equal reports whether two image snapshots are bit-identical. Shared
-// entries and same-heap same-version entries are proven equal without
-// touching the data; everything else falls back to a hash compare and
-// then a content compare (floats by bit pattern).
+// entries and pages, and same-heap entries and pages with unmoved
+// counters, are proven equal without touching the data; everything
+// else falls back to a hash compare and then a content compare (floats
+// by bit pattern), page by page.
 func (a *ImageState) Equal(b *ImageState) bool {
 	if a == b {
 		return true
 	}
-	if len(a.regions) != len(b.regions) {
+	if len(a.regions) != len(b.regions) || a.hash != b.hash {
 		return false
 	}
 	sameSrc := a.src == b.src
@@ -834,16 +787,16 @@ func (a *ImageState) Equal(b *ImageState) bool {
 		if ra == rb || (sameSrc && ra.ver == rb.ver) {
 			continue
 		}
-		if ra.hash != rb.hash || len(ra.f64) != len(rb.f64) || len(ra.i64) != len(rb.i64) {
+		if ra.hash != rb.hash || len(ra.pages) != len(rb.pages) {
 			return false
 		}
-		for j, v := range ra.f64 {
-			if math.Float64bits(v) != math.Float64bits(rb.f64[j]) {
-				return false
+		sameEpoch := sameSrc && ra.epoch == rb.epoch
+		for j, pa := range ra.pages {
+			pb := rb.pages[j]
+			if pa == pb || (sameEpoch && pa.ver == pb.ver) {
+				continue
 			}
-		}
-		for j, v := range ra.i64 {
-			if v != rb.i64[j] {
+			if pa.hash != pb.hash || !slices.Equal(pa.words, pb.words) {
 				return false
 			}
 		}

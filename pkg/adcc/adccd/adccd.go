@@ -80,6 +80,10 @@ type Stats struct {
 	// JobsResumed counts jobs continued from persisted shard progress
 	// at daemon startup.
 	JobsResumed int64
+	// StateFilesSkipped counts persisted job documents and shard
+	// checkpoints that could not be read or decoded at startup. Each is
+	// logged; a skipped shard's cell is recomputed.
+	StateFilesSkipped int64
 }
 
 // Server is the campaign service. Build one with New, mount Handler on
@@ -103,9 +107,9 @@ type Server struct {
 	order []string
 
 	stats struct {
-		submitted, deduped, cacheHits atomic.Int64
-		campaignsRun, cellsExecuted   atomic.Int64
-		jobsResumed                   atomic.Int64
+		submitted, deduped, cacheHits  atomic.Int64
+		campaignsRun, cellsExecuted    atomic.Int64
+		jobsResumed, stateFilesSkipped atomic.Int64
 	}
 
 	// testCellHook, when set (tests only), runs after each shard
@@ -160,12 +164,13 @@ func (s *Server) Close() error {
 // Stats returns a snapshot of the service counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Submitted:     s.stats.submitted.Load(),
-		Deduped:       s.stats.deduped.Load(),
-		CacheHits:     s.stats.cacheHits.Load(),
-		CampaignsRun:  s.stats.campaignsRun.Load(),
-		CellsExecuted: s.stats.cellsExecuted.Load(),
-		JobsResumed:   s.stats.jobsResumed.Load(),
+		Submitted:         s.stats.submitted.Load(),
+		Deduped:           s.stats.deduped.Load(),
+		CacheHits:         s.stats.cacheHits.Load(),
+		CampaignsRun:      s.stats.campaignsRun.Load(),
+		CellsExecuted:     s.stats.cellsExecuted.Load(),
+		JobsResumed:       s.stats.jobsResumed.Load(),
+		StateFilesSkipped: s.stats.stateFilesSkipped.Load(),
 	}
 }
 
@@ -318,7 +323,10 @@ func (s *Server) registerLoadedLocked(j *job) {
 // registered as-is, interrupted ones resume from their persisted shard
 // checkpoints.
 func (s *Server) loadState() error {
-	loaded, err := s.store.loadJobs()
+	loaded, err := s.store.loadJobs(func(path string, err error) {
+		s.stats.stateFilesSkipped.Add(1)
+		s.logf("state: skipping %s: %v", path, err)
+	})
 	if err != nil {
 		return err
 	}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +248,84 @@ func TestKillAndResume(t *testing.T) {
 	// it records no columnar store artifact.
 	if _, err := srv2.StoreArtifact(info.ID); err == nil {
 		t.Error("resumed job served a store artifact; restored cells have no rows to store")
+	}
+}
+
+// TestTornShardCountedAndRecomputed kills the daemon after one shard
+// checkpoint, tears that shard on disk and leaves a temp-file
+// leftover beside it. The restart must count and log the torn shard
+// (not the leftover), recompute its cell, and serve a report
+// byte-identical to an uninterrupted run.
+func TestTornShardCountedAndRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	spec := tinySpec(true)
+	want := directReport(t, spec)
+
+	srv, err := New(Config{StateDir: dir, Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	first := make(chan struct{})
+	srv.testCellHook = func(ctx context.Context, _ string) {
+		once.Do(func() { close(first) })
+		<-ctx.Done()
+	}
+	info, err := srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-first
+	srv.Close()
+
+	shards, err := filepath.Glob(filepath.Join(dir, "jobs", info.ID, "shards", "*.json"))
+	if err != nil || len(shards) != 1 {
+		t.Fatalf("want one persisted shard, got %v (%v)", shards, err)
+	}
+	b, err := os.ReadFile(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shards[0], b[:len(b)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shards[0]+".tmp", b[:3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logMu sync.Mutex
+	var logs []string
+	srv2, err := New(Config{StateDir: dir, Parallel: 2, Logf: func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	final := waitDone(t, srv2, info.ID)
+	if final.Status != adcc.JobDone {
+		t.Fatalf("resumed job: %s (%s)", final.Status, final.Error)
+	}
+	got, err := srv2.Report(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("report after a torn shard differs from uninterrupted run")
+	}
+	st := srv2.Stats()
+	if st.StateFilesSkipped != 1 {
+		t.Errorf("StateFilesSkipped = %d, want 1 (the torn shard, not the .tmp leftover)", st.StateFilesSkipped)
+	}
+	if want := int64(final.ShardsTotal); st.CellsExecuted != want {
+		t.Errorf("executed %d cells, want %d (the torn shard's cell recomputed)", st.CellsExecuted, want)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, shards[0]) }) {
+		t.Errorf("torn shard path not logged; logs: %q", logs)
 	}
 }
 

@@ -2,8 +2,10 @@ package adccd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -269,9 +271,12 @@ type loadedJob struct {
 	shards map[string]adcc.CampaignCell
 }
 
-// loadJobs reads every persisted job. Unreadable jobs or shards are
-// skipped (a lost shard is recomputed, not fatal).
-func (s *store) loadJobs() ([]loadedJob, error) {
+// loadJobs reads every persisted job. A job document or shard that
+// cannot be read or decoded is not fatal (a lost shard is recomputed),
+// but it is never dropped silently: each one is reported to skip with
+// its path and error. Leftover "*.tmp" files from an interrupted
+// writeFileAtomic are ignored.
+func (s *store) loadJobs(skip func(path string, err error)) ([]loadedJob, error) {
 	if s.ephemeral() {
 		return nil, nil
 	}
@@ -284,32 +289,46 @@ func (s *store) loadJobs() ([]loadedJob, error) {
 		if !d.IsDir() {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(s.dir, "jobs", d.Name(), "job.json"))
-		if err != nil {
+		path := filepath.Join(s.dir, "jobs", d.Name(), "job.json")
+		var info adcc.JobInfo
+		if err := readJSON(path, &info); err != nil {
+			skip(path, err)
 			continue
 		}
-		var info adcc.JobInfo
-		if err := json.Unmarshal(b, &info); err != nil || info.ID == "" {
+		if info.ID == "" {
+			skip(path, errors.New("job document has no id"))
 			continue
 		}
 		lj := loadedJob{info: info, shards: map[string]adcc.CampaignCell{}}
 		shardDir := filepath.Join(s.dir, "jobs", d.Name(), "shards")
-		if sdents, err := os.ReadDir(shardDir); err == nil {
-			for _, sd := range sdents {
-				sb, err := os.ReadFile(filepath.Join(shardDir, sd.Name()))
-				if err != nil {
-					continue
-				}
-				var c adcc.CampaignCell
-				if err := json.Unmarshal(sb, &c); err != nil {
-					continue
-				}
-				lj.shards[c.Key()] = c
+		sdents, err := os.ReadDir(shardDir)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			skip(shardDir, err)
+		}
+		for _, sd := range sdents {
+			if strings.HasSuffix(sd.Name(), ".tmp") {
+				continue
 			}
+			path := filepath.Join(shardDir, sd.Name())
+			var c adcc.CampaignCell
+			if err := readJSON(path, &c); err != nil {
+				skip(path, err)
+				continue
+			}
+			lj.shards[c.Key()] = c
 		}
 		out = append(out, lj)
 	}
 	return out, nil
+}
+
+// readJSON decodes the JSON file at path into v.
+func readJSON(path string, v any) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(b, v)
 }
 
 // writeFileAtomic writes b to path via a rename so readers (and a
