@@ -21,18 +21,16 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"adcc/internal/cache"
 	"adcc/internal/core"
 	"adcc/internal/crash"
-	"adcc/internal/dense"
 	"adcc/internal/engine"
 	"adcc/internal/kvlog"
-	"adcc/internal/mc"
 	"adcc/internal/mem"
-	"adcc/internal/sparse"
 	"adcc/internal/stencil"
 )
 
@@ -52,8 +50,10 @@ type Config struct {
 	// PerCell overrides the number of injections per cell (0 = scaled
 	// default: 120 at scale 1.0, floor 8).
 	PerCell int
-	// Workloads restricts the sweep to the named workloads ("cg", "mm",
-	// "mc"); nil means all three.
+	// Workloads restricts the sweep to the named workload families of
+	// Registry ("cg", "mm", "mc", "stencil", "kvlog", or a custom
+	// family); nil means every registered family, in registration
+	// order. An unregistered name is an error.
 	Workloads []string
 	// Schemes restricts the sweep to the named schemes; nil means every
 	// built-in scheme supported by each workload. Names outside the
@@ -71,10 +71,11 @@ type Config struct {
 	// cache keys derived from them) are byte-identical with or without
 	// an explicit "failstop" entry.
 	FaultModels []string
-	// Registry resolves scheme names; nil means the process-global
-	// registry (so pre-instance-registry callers keep working). Custom
-	// schemes registered on an instance registry become sweepable by
-	// passing that registry here and naming them in Schemes.
+	// Registry holds the swept workload families and resolves scheme
+	// names; nil means NewRegistry(). Custom families registered on an
+	// instance registry are swept like the built-ins; custom schemes
+	// become sweepable by passing that registry here and naming them in
+	// Schemes.
 	Registry *engine.Registry
 	// Replay switches the inner loop to the snapshot/fork engine: each
 	// cell executes once, capturing a machine snapshot at every
@@ -128,27 +129,33 @@ func (c Config) scale() float64 {
 	return c.Scale
 }
 
-func (c Config) scaleInt(v, floor int) int {
-	s := int(float64(v) * c.scale())
-	if s < floor {
-		return floor
-	}
-	return s
-}
-
 func (c Config) perCell() int {
 	if c.PerCell > 0 {
 		return c.PerCell
 	}
-	return c.scaleInt(120, 8)
+	return engine.ScaleInt(120, c.scale(), 8)
 }
 
-// registry returns the scheme registry the campaign resolves names in.
+// NewRegistry returns a registry seeded with the nine built-in schemes
+// and the five built-in workload families in the campaign's sweep
+// order: the paper's three studies, then the stencil and served-traffic
+// KV extension families.
+func NewRegistry() *engine.Registry {
+	r := engine.NewBuiltinRegistry()
+	for _, f := range []engine.Family{core.CGFamily, core.MMFamily, core.MCFamily, stencil.Family, kvlog.Family} {
+		if err := r.RegisterFamily(f); err != nil {
+			panic("campaign: " + err.Error())
+		}
+	}
+	return r
+}
+
+// registry returns the registry the campaign resolves names in.
 func (c Config) registry() *engine.Registry {
 	if c.Registry != nil {
 		return c.Registry
 	}
-	return engine.Default()
+	return NewRegistry()
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -167,7 +174,7 @@ const campaignLLCBytes = 1 << 20
 // the sweep grid. FaultName is the canonical model name, or "" for
 // clean fail-stop so fail-stop cells keep their legacy keys.
 type cell struct {
-	Workload  string
+	Family    *engine.Family
 	Scheme    engine.Scheme
 	System    crash.SystemKind
 	Fault     crash.FaultModel
@@ -175,7 +182,7 @@ type cell struct {
 }
 
 func (c cell) String() string {
-	s := fmt.Sprintf("%s/%s@%s", c.Workload, c.Scheme.Name(), c.System)
+	s := fmt.Sprintf("%s/%s@%s", c.Family.Name, c.Scheme.Name(), c.System)
 	if c.FaultName != "" {
 		s += "+" + c.FaultName
 	}
@@ -190,7 +197,7 @@ func (c cell) String() string {
 // differences across models measure the model, not a different sample.
 func (c cell) seed(base int64) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d", c.Workload, c.Scheme.Name(), c.System, base)
+	fmt.Fprintf(h, "%s|%s|%d|%d", c.Family.Name, c.Scheme.Name(), c.System, base)
 	return int64(h.Sum64() >> 1)
 }
 
@@ -208,36 +215,13 @@ func (c cell) fault(base int64) crash.FaultModel {
 	return f
 }
 
-// workloadNames is the sweep order of the paper's three studies plus
-// the stencil and served-traffic KV extension families.
-var workloadNames = []string{"cg", "mm", "mc", "stencil", "kvlog"}
-
-// schemesFor returns the schemes a workload can run AND recover under.
-// CG and MM pair the extended (algorithm-directed) implementation with
-// a single algo scheme: their algorithm-directed design has no
-// flush-policy variants (FlushPolicy only differentiates MC and the
-// stencil), and the campaign's System axis already covers both
-// platforms, so listing algo-NVM/DRAM too would re-run an identical
-// configuration under a different label. MC selects its mechanism
-// entirely through the scheme, so it sweeps all algo variants including
-// the rejected index-only and every-iteration designs; the stencil does
-// the same minus the redundant algo-NVM/DRAM label.
-func schemesFor(workload string) []string {
-	conventional := []string{
-		engine.SchemeNative, engine.SchemeCkptHDD, engine.SchemeCkptNVM,
-		engine.SchemeCkptHetero, engine.SchemePMEM,
-	}
-	switch workload {
-	case "mc":
-		return append(conventional,
-			engine.SchemeAlgoNVM, engine.SchemeAlgoHetero,
-			engine.SchemeAlgoNaive, engine.SchemeAlgoEvery)
-	case "stencil", "kvlog":
-		return append(conventional,
-			engine.SchemeAlgoNVM, engine.SchemeAlgoNaive, engine.SchemeAlgoEvery)
-	default:
-		return append(conventional, engine.SchemeAlgoNVM)
-	}
+// defaultSchemes is the campaign grid of a family that names no
+// schemes: the paper's seven-case comparison minus algo-NVM/DRAM. The
+// System axis already sweeps both platforms, so that scheme would re-run
+// algo-NVM-only under a second label.
+var defaultSchemes = []string{
+	engine.SchemeNative, engine.SchemeCkptHDD, engine.SchemeCkptNVM,
+	engine.SchemeCkptHetero, engine.SchemePMEM, engine.SchemeAlgoNVM,
 }
 
 // systems is the sweep order of the paper's two platforms. Every cell
@@ -281,7 +265,8 @@ func (c Config) faultModels() ([]faultAxis, error) {
 // CellKeys enumerates the config's sweep grid in deterministic order,
 // returning each cell's CellReport.Key ("workload/scheme@system"). It
 // validates workload and scheme names exactly like Run, so a service
-// can size and reject a campaign before starting it.
+// can size and reject a campaign before starting it. It never builds a
+// family's inputs.
 func (c Config) CellKeys() ([]string, error) {
 	cells, err := c.cells()
 	if err != nil {
@@ -294,66 +279,54 @@ func (c Config) CellKeys() ([]string, error) {
 	return keys, nil
 }
 
-// cells enumerates the sweep grid in deterministic order, honoring the
-// config's workload/scheme filters.
+// cells enumerates the sweep grid in deterministic order — the
+// registry's families in registration order — honoring the config's
+// workload/scheme filters.
 func (c Config) cells() ([]cell, error) {
-	inWorkloads := func(w string) bool {
-		if len(c.Workloads) == 0 {
-			return true
+	reg := c.registry()
+	for _, name := range c.Workloads {
+		if _, ok := reg.Family(name); !ok {
+			return nil, fmt.Errorf("campaign: unknown workload %q", name)
 		}
-		for _, x := range c.Workloads {
-			if x == w {
-				return true
-			}
-		}
-		return false
 	}
-	inSchemes := func(s string) bool {
-		if len(c.Schemes) == 0 {
-			return true
-		}
-		for _, x := range c.Schemes {
-			if x == s {
-				return true
-			}
-		}
-		return false
-	}
+	inWorkloads := func(w string) bool { return len(c.Workloads) == 0 || slices.Contains(c.Workloads, w) }
+	inSchemes := func(s string) bool { return len(c.Schemes) == 0 || slices.Contains(c.Schemes, s) }
 	faults, err := c.faultModels()
 	if err != nil {
 		return nil, err
 	}
 	var out []cell
-	for _, w := range workloadNames {
-		if !inWorkloads(w) {
+	families := reg.Families()
+	for i := range families {
+		fam := &families[i]
+		if !inWorkloads(fam.Name) {
 			continue
 		}
-		// The workload's built-in grid, plus any explicitly named
-		// scheme outside it (custom schemes from the config's
-		// registry), in the order they were named.
-		candidates := schemesFor(w)
-		builtin := map[string]bool{}
-		for _, name := range candidates {
-			builtin[name] = true
+		// The family's own grid, plus any explicitly named scheme
+		// outside it (custom schemes from the config's registry), in the
+		// order they were named.
+		candidates := fam.Schemes
+		if len(candidates) == 0 {
+			candidates = defaultSchemes
 		}
+		candidates = slices.Clone(candidates)
 		for _, name := range c.Schemes {
-			if !builtin[name] {
+			if !slices.Contains(candidates, name) {
 				candidates = append(candidates, name)
-				builtin[name] = true
 			}
 		}
 		for _, name := range candidates {
 			if !inSchemes(name) {
 				continue
 			}
-			sc, ok := c.registry().Lookup(name)
+			sc, ok := reg.Lookup(name)
 			if !ok {
 				return nil, fmt.Errorf("campaign: unknown scheme %q", name)
 			}
 			for _, sys := range systems {
 				for _, fa := range faults {
 					out = append(out, cell{
-						Workload: w, Scheme: sc, System: sys,
+						Family: fam, Scheme: sc, System: sys,
 						Fault: fa.model, FaultName: fa.name,
 					})
 				}
@@ -385,101 +358,6 @@ func (c cell) newMachine() *crash.Machine {
 			FlushFree:         c.Fault.Kind == crash.EADR,
 		},
 	})
-}
-
-// cellAssets holds the expensive pure inputs of a workload — the
-// generated CG matrix and the MM verification oracle. They depend only
-// on the workload name and the campaign scale, so one instance per
-// workload is computed up front and shared read-only by every cell and
-// injection.
-type cellAssets struct {
-	cgA      *sparse.CSR
-	mmWant   *dense.Matrix
-	heatWant []float64
-	kvWant   map[int64]int64
-}
-
-// newAssets precomputes a workload's shared inputs.
-func newAssets(workload string, cfg Config) *cellAssets {
-	as := &cellAssets{}
-	switch workload {
-	case "cg":
-		as.cgA = sparse.GenSPD(cfg.scaleInt(1200, 300), 9, 11)
-	case "mm":
-		as.mmWant = core.MMWant(mmOpts(cfg))
-	case "stencil":
-		as.heatWant = stencil.Want(heatOpts(cfg))
-	case "kvlog":
-		as.kvWant = kvlog.Oracle(kvlogOpts(cfg))
-	}
-	return as
-}
-
-// mmOpts is the MM configuration at the campaign scale.
-func mmOpts(cfg Config) core.MMOptions {
-	const k = 16
-	return core.MMOptions{N: k * cfg.scaleInt(8, 3), K: k, Seed: 12}
-}
-
-// heatOpts is the stencil configuration at the campaign scale. At scale
-// 1.0 the plane history (~1 MB) straddles the campaign LLC, so both
-// evicted-and-persistent and cache-resident-and-lost planes appear in
-// the sweep.
-func heatOpts(cfg Config) stencil.Options {
-	return stencil.Options{N: cfg.scaleInt(96, 32), MaxIter: 12, Seed: 21}
-}
-
-// kvlogOpts is the KV-store configuration at the campaign scale. The
-// store (index + log, ~25 KB at scale 1.0) stays LLC-resident, which is
-// exactly the regime where the naive index-only design loses its
-// unflushed log records.
-func kvlogOpts(cfg Config) kvlog.Options {
-	return kvlog.Options{Requests: cfg.scaleInt(600, 120), KeySpace: 128, ScanLen: 8, CkptEvery: 16, Seed: 33}
-}
-
-// newWorkload builds a fresh workload instance for one injection of the
-// cell. Sizes scale with the campaign scale; seeds are fixed, so the
-// only varying coordinate of an injection is its crash point.
-func (c cell) newWorkload(cfg Config, as *cellAssets) engine.Workload {
-	algo := c.Scheme.Kind() == engine.KindAlgo
-	switch c.Workload {
-	case "cg":
-		opts := core.CGOptions{MaxIter: 15, Seed: 11}
-		if algo {
-			return &core.CGWorkload{A: as.cgA, Opts: opts}
-		}
-		return &core.BaselineCGWorkload{A: as.cgA, Opts: opts, Scheme: c.Scheme}
-	case "mm":
-		opts := mmOpts(cfg)
-		if algo {
-			return &core.MMWorkload{Opts: opts, Want: as.mmWant}
-		}
-		return &core.BaselineMMWorkload{Opts: opts, Want: as.mmWant, Scheme: c.Scheme}
-	case "mc":
-		return &core.MCWorkload{
-			Cfg: mc.Config{
-				Nuclides:         16,
-				PointsPerNuclide: 128,
-				Lookups:          cfg.scaleInt(20_000, 2500),
-				Seed:             42,
-			},
-			Scheme: c.Scheme,
-		}
-	case "stencil":
-		opts := heatOpts(cfg)
-		if algo {
-			return &stencil.HeatWorkload{Opts: opts, Want: as.heatWant, Scheme: c.Scheme}
-		}
-		return &stencil.BaselineWorkload{Opts: opts, Want: as.heatWant, Scheme: c.Scheme}
-	case "kvlog":
-		opts := kvlogOpts(cfg)
-		if algo {
-			return &kvlog.StoreWorkload{Opts: opts, Want: as.kvWant, Scheme: c.Scheme}
-		}
-		return &kvlog.BaselineWorkload{Opts: opts, Want: as.kvWant, Scheme: c.Scheme}
-	default:
-		panic(fmt.Sprintf("campaign: unknown workload %q", c.Workload))
-	}
 }
 
 // InjectionRow is the outcome of one crash point — the unit record the
@@ -522,18 +400,26 @@ type RowSink interface {
 	Row(InjectionRow)
 }
 
-// plan is one cell with its shared assets and enumerated crash points.
+// factory builds one fresh workload instance of a family for a scheme.
+type factory = func(engine.Scheme) (engine.Workload, error)
+
+// plan is one cell with its family's shared-input factory and
+// enumerated crash points.
 type plan struct {
 	Cell    cell
-	Assets  *cellAssets
+	New     factory
 	Profile crash.RunProfile
 	Points  []crash.CrashPoint
 }
 
+// instance builds a fresh workload instance for one run of the
+// plan's cell.
+func (p plan) instance() (engine.Workload, error) { return p.New(p.Cell.Scheme) }
+
 // info renders the plan's coordinates and constants for RowSinks.
 func (p plan) info() CellInfo {
 	return CellInfo{
-		Workload:   p.Cell.Workload,
+		Workload:   p.Cell.Family.Name,
 		Scheme:     p.Cell.Scheme.Name(),
 		System:     p.Cell.System.String(),
 		FaultModel: p.Cell.FaultName,
@@ -578,11 +464,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		cfg.logf("campaign: %d of %d cells restored from checkpoints", len(restored), len(grid))
 	}
 
-	// Shared per-workload inputs (CG matrix, MM oracle), computed once.
-	assets := map[string]*cellAssets{}
+	// Size each swept family once: its shared inputs (CG matrix,
+	// verification oracles) are computed here and shared read-only by
+	// every cell and injection.
+	factories := map[string]factory{}
 	for _, cl := range cells {
-		if assets[cl.Workload] == nil {
-			assets[cl.Workload] = newAssets(cl.Workload, cfg)
+		if factories[cl.Family.Name] == nil {
+			factories[cl.Family.Name] = cl.Family.New(cfg.scale())
 		}
 	}
 
@@ -596,10 +484,13 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	plans, err := engine.RunCasesObserved(ctx, cfg.Parallel, len(cells), func(i int) (plan, error) {
 		cl := cells[i]
-		as := assets[cl.Workload]
+		p := plan{Cell: cl, New: factories[cl.Family.Name]}
 		m := cl.newMachine()
 		em := crash.NewEmulator(m)
-		w := cl.newWorkload(cfg, as)
+		w, err := p.instance()
+		if err != nil {
+			return plan{}, fmt.Errorf("campaign: %s: %w", cl, err)
+		}
 		if err := w.Prepare(m, em); err != nil {
 			return plan{}, fmt.Errorf("campaign: %s: %w", cl, err)
 		}
@@ -611,7 +502,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			return plan{}, fmt.Errorf("campaign: %s: crash-free run failed verification: %w", cl, err)
 		}
 		cfg.logf("campaign: %s profile: %d ops, %d trigger names", cl, prof.Ops, len(prof.Triggers))
-		return plan{Cell: cl, Assets: as, Profile: prof, Points: prof.Points(perCell, cl.seed(cfg.Seed))}, nil
+		p.Profile, p.Points = prof, prof.Points(perCell, cl.seed(cfg.Seed))
+		return p, nil
 	}, observeProfile)
 	if err != nil {
 		return nil, err
@@ -664,7 +556,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // uninterrupted run assembles.
 func aggregateCell(p plan, inj []InjectionRow, wallNS int64) CellReport {
 	cr := CellReport{
-		Workload:   p.Cell.Workload,
+		Workload:   p.Cell.Family.Name,
 		Scheme:     p.Cell.Scheme.Name(),
 		System:     p.Cell.System.String(),
 		FaultModel: p.Cell.FaultName,
@@ -815,8 +707,11 @@ func runCellReplay(cfg Config, p plan) []InjectionRow {
 	injections := make([]InjectionRow, len(p.Points))
 	m := p.Cell.newMachine()
 	em := crash.NewEmulator(m)
-	w := p.Cell.newWorkload(cfg, p.Assets)
-	if err := w.Prepare(m, em); err != nil {
+	w, err := p.instance()
+	if err == nil {
+		err = w.Prepare(m, em)
+	}
+	if err != nil {
 		for i := range injections {
 			injections[i] = InjectionRow{Outcome: OutcomeUnrecoverable}
 		}
@@ -877,7 +772,7 @@ func runCellReplay(cfg Config, p plan) []InjectionRow {
 
 	// One fork per class on a single reused fork machine; expand each
 	// result to every member point.
-	f := newForker(cfg, p)
+	f := newForker(p)
 	for _, c := range classes {
 		res := f.run(c.state)
 		for _, pi := range c.points {
@@ -908,16 +803,20 @@ type forker struct {
 	prepErr bool
 }
 
-func newForker(cfg Config, p plan) *forker {
+func newForker(p plan) *forker {
 	f := &forker{p: p}
 	f.m = p.Cell.newMachine()
 	f.em = crash.NewEmulator(f.m)
-	f.w = p.Cell.newWorkload(cfg, p.Assets)
+	w, err := p.instance()
+	if err != nil {
+		f.prepErr = true
+		return f
+	}
+	f.w = w
 	acc := f.m.Heap.Accessor()
 	f.m.Heap.SetAccessor(mem.NullAccessor{})
-	err := f.w.Prepare(f.m, f.em)
+	f.prepErr = f.w.Prepare(f.m, f.em) != nil
 	f.m.Heap.SetAccessor(acc)
-	f.prepErr = err != nil
 	return f
 }
 
@@ -1004,8 +903,11 @@ func runInjection(cfg Config, p plan, pt crash.CrashPoint) InjectionRow {
 	var inj InjectionRow
 	m := p.Cell.newMachine()
 	em := crash.NewEmulator(m)
-	w := p.Cell.newWorkload(cfg, p.Assets)
-	if err := w.Prepare(m, em); err != nil {
+	w, err := p.instance()
+	if err == nil {
+		err = w.Prepare(m, em)
+	}
+	if err != nil {
 		inj.Outcome = OutcomeUnrecoverable
 		return inj
 	}

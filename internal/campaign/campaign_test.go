@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +69,32 @@ func TestGoldenReport(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("campaign report drifted from golden file.\nIf intentional, regenerate with: go test ./internal/campaign -run TestGoldenReport -update\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDefaultGridGolden pins the default campaign grid — every built-in
+// family's scheme list, in sweep order — to the cell keys committed
+// reports, stores, and bench rows are addressed by. A family whose
+// scheme list drifts fails here; regenerate with -update only when the
+// change is intended.
+func TestDefaultGridGolden(t *testing.T) {
+	keys, err := Config{}.CellKeys()
+	if err != nil {
+		t.Fatalf("CellKeys: %v", err)
+	}
+	got := strings.Join(keys, "\n") + "\n"
+	golden := filepath.Join("testdata", "default_grid.txt")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatalf("update golden: %v", err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("default grid drifted from golden file (%d cells).\nIf intentional, regenerate with: go test ./internal/campaign -run TestDefaultGridGolden -update\ngot:\n%s", len(keys), got)
 	}
 }
 

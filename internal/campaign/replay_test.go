@@ -81,23 +81,29 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		b.Fatalf("cells: %v", err)
 	}
 	cl := cells[0]
-	as := newAssets(cl.Workload, cfg)
+	newW := cl.Family.New(cfg.scale())
 
 	// Profile on one machine, then record a mid-run snapshot on a fresh
 	// one, exactly as the replay engine does.
 	{
 		m := cl.newMachine()
 		em := crash.NewEmulator(m)
-		w := cl.newWorkload(cfg, as)
+		w, err := newW(cl.Scheme)
+		if err != nil {
+			b.Fatalf("new: %v", err)
+		}
 		if err := w.Prepare(m, em); err != nil {
 			b.Fatalf("prepare: %v", err)
 		}
 		prof := em.Profile(func() { w.Run(w.Start()) })
-		benchPlan = plan{Cell: cl, Assets: as, Profile: prof}
+		benchPlan = plan{Cell: cl, New: newW, Profile: prof}
 	}
 	m := cl.newMachine()
 	em := crash.NewEmulator(m)
-	w := cl.newWorkload(cfg, as)
+	w, err := benchPlan.instance()
+	if err != nil {
+		b.Fatalf("new: %v", err)
+	}
 	if err := w.Prepare(m, em); err != nil {
 		b.Fatalf("prepare: %v", err)
 	}
@@ -109,7 +115,7 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		b.Fatal("recording run captured no snapshot")
 	}
 
-	f := newForker(cfg, benchPlan)
+	f := newForker(benchPlan)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -411,6 +411,66 @@ func (w *BaselineMMWorkload) Metrics() map[string]float64 {
 	}
 }
 
+// The paper's three studies as workload families (engine.Family). Sizes
+// scale with the sweep's problem scale and seeds are fixed, so the only
+// coordinate that varies between two instances of one family is the
+// scheme: algorithm-directed schemes run the extended implementations,
+// conventional schemes the baselines driven through the scheme's Guard.
+var (
+	// CGFamily sweeps the default grid: CG's algorithm-directed design
+	// has no flush-policy variants.
+	CGFamily = engine.Family{
+		Name: "cg",
+		New: func(scale float64) func(engine.Scheme) (engine.Workload, error) {
+			a := sparse.GenSPD(engine.ScaleInt(1200, scale, 300), 9, 11)
+			opts := CGOptions{MaxIter: 15, Seed: 11}
+			return func(sc engine.Scheme) (engine.Workload, error) {
+				if sc.Kind() == engine.KindAlgo {
+					return &CGWorkload{A: a, Opts: opts}, nil
+				}
+				return &BaselineCGWorkload{A: a, Opts: opts, Scheme: sc}, nil
+			}
+		},
+	}
+	// MMFamily sweeps the default grid, like CG.
+	MMFamily = engine.Family{
+		Name: "mm",
+		New: func(scale float64) func(engine.Scheme) (engine.Workload, error) {
+			const k = 16
+			opts := MMOptions{N: k * engine.ScaleInt(8, scale, 3), K: k, Seed: 12}
+			want := MMWant(opts)
+			return func(sc engine.Scheme) (engine.Workload, error) {
+				if sc.Kind() == engine.KindAlgo {
+					return &MMWorkload{Opts: opts, Want: want}, nil
+				}
+				return &BaselineMMWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+			}
+		},
+	}
+	// MCFamily selects its mechanism entirely through the scheme, so it
+	// sweeps every algorithm-directed variant, including the rejected
+	// index-only and every-iteration designs of §III-D.
+	MCFamily = engine.Family{
+		Name: "mc",
+		Schemes: []string{
+			engine.SchemeNative, engine.SchemeCkptHDD, engine.SchemeCkptNVM,
+			engine.SchemeCkptHetero, engine.SchemePMEM, engine.SchemeAlgoNVM,
+			engine.SchemeAlgoHetero, engine.SchemeAlgoNaive, engine.SchemeAlgoEvery,
+		},
+		New: func(scale float64) func(engine.Scheme) (engine.Workload, error) {
+			cfg := mc.Config{
+				Nuclides:         16,
+				PointsPerNuclide: 128,
+				Lookups:          engine.ScaleInt(20_000, scale, 2500),
+				Seed:             42,
+			}
+			return func(sc engine.Scheme) (engine.Workload, error) {
+				return &MCWorkload{Cfg: cfg, Scheme: sc}, nil
+			}
+		},
+	}
+)
+
 // Workloads returns one instance of each paper workload with CI-scale
 // defaults, for generic drivers and conformance tests.
 func Workloads() []engine.Workload {

@@ -60,15 +60,6 @@ func TestLookupUnknown(t *testing.T) {
 	MustLookup("no-such-scheme")
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(&scheme{name: SchemeNative})
-}
-
 func TestSevenCasesOrder(t *testing.T) {
 	cases := SevenCases()
 	wantOrder := []string{

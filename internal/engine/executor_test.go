@@ -27,6 +27,44 @@ func TestInstanceRegistryRejectsDuplicates(t *testing.T) {
 	}
 }
 
+func TestRegistryFamilies(t *testing.T) {
+	newFam := func(name string) Family {
+		return Family{Name: name, New: func(float64) func(Scheme) (Workload, error) { return nil }}
+	}
+	r := NewRegistry()
+	for _, name := range []string{"zeta", "alpha", "mid"} {
+		if err := r.RegisterFamily(newFam(name)); err != nil {
+			t.Fatalf("RegisterFamily(%s): %v", name, err)
+		}
+	}
+	var order []string
+	for _, f := range r.Families() {
+		order = append(order, f.Name)
+	}
+	if got := strings.Join(order, ","); got != "zeta,alpha,mid" {
+		t.Fatalf("Families order = %s, want registration order", got)
+	}
+	if f, ok := r.Family("alpha"); !ok || f.Name != "alpha" {
+		t.Fatalf("Family(alpha) = %+v, %v", f, ok)
+	}
+	if _, ok := r.Family("nope"); ok {
+		t.Fatal("Family found an unregistered name")
+	}
+	err := r.RegisterFamily(newFam("mid"))
+	if err == nil || !strings.Contains(err.Error(), `"mid"`) {
+		t.Fatalf("duplicate RegisterFamily error = %v, want the conflicting name", err)
+	}
+	if err := r.RegisterFamily(Family{Name: "no-factory"}); err == nil {
+		t.Fatal("RegisterFamily accepted a family without a factory")
+	}
+	if err := r.RegisterFamily(Family{New: newFam("x").New}); err == nil {
+		t.Fatal("RegisterFamily accepted an unnamed family")
+	}
+	if len(NewBuiltinRegistry().Families()) != 0 {
+		t.Fatal("families leaked into an unrelated registry")
+	}
+}
+
 func TestInstanceRegistriesAreIndependent(t *testing.T) {
 	a, b := NewBuiltinRegistry(), NewBuiltinRegistry()
 	if err := a.Register(&scheme{name: "only-in-a"}); err != nil {

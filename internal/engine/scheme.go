@@ -7,10 +7,14 @@
 //     held in an instance-scoped Registry. A scheme knows which simulated
 //     platform it runs on and how to build its per-run Guard.
 //
-//   - Workload: a crash-consistence study — a computation that runs from
-//     an iteration boundary, recovers after a crash, and verifies its
-//     result — implemented by all three of the paper's algorithms (and
-//     their conventional-mechanism baselines) in internal/core.
+//   - Workload and Family: a crash-consistence study — a computation
+//     that runs from an iteration boundary, recovers after a crash, and
+//     verifies its result — and the descriptor that names, sizes, and
+//     builds it. The paper's three algorithms (and their
+//     conventional-mechanism baselines) live in internal/core, the
+//     stencil and KV-store families in their own packages; each
+//     declares its Family once, and the campaign and the public Runner
+//     sweep whatever families a Registry holds.
 //
 //   - RunCases: the context-aware bounded worker pool every fan-out in
 //     the repo goes through (harness experiment cases, campaign
@@ -24,7 +28,7 @@
 // The experiment drivers in internal/harness iterate a registry instead
 // of switching on case labels, and the workload loops in internal/core
 // drive a Guard instead of switching on a mechanism enum, so adding a new
-// scheme or workload is a one-file change.
+// scheme or workload family is one package plus one registration.
 package engine
 
 import (
@@ -151,17 +155,19 @@ func (s *scheme) NewGuard(m *crash.Machine, logElems int) Guard {
 	}
 }
 
-// Registry is an instance-scoped scheme registry. Each Registry is an
-// independent namespace: embedders build their own (usually via
-// pkg/adcc, which seeds the built-in schemes), register custom schemes
-// without init-order coupling, and hand the registry to the runner or
-// campaign that should see it. All methods are safe for concurrent use —
-// the experiment drivers read registries from worker goroutines.
+// Registry is an instance-scoped registry of schemes and workload
+// families. Each Registry is an independent namespace: embedders build
+// their own (usually via pkg/adcc, which seeds the built-in schemes and
+// families), register custom ones without init-order coupling, and hand
+// the registry to the runner or campaign that should see it. All
+// methods are safe for concurrent use — the experiment drivers read
+// registries from worker goroutines.
 //
 // The zero value is not usable; call NewRegistry or NewBuiltinRegistry.
 type Registry struct {
-	mu      sync.RWMutex
-	schemes map[string]Scheme
+	mu       sync.RWMutex
+	schemes  map[string]Scheme
+	families []Family
 }
 
 // NewRegistry returns an empty registry.
@@ -255,44 +261,60 @@ func (r *Registry) SevenCases() []Scheme {
 	return out
 }
 
-// defaultRegistry is the process-global registry behind the deprecated
-// package-level functions. Internal callers that predate instance
-// registries still resolve built-in scheme names through it.
-var defaultRegistry = NewBuiltinRegistry()
-
-// Default returns the process-global registry. It exists only as a
-// shim for internal callers that predate instance registries; new code
-// should build an instance registry (NewRegistry / NewBuiltinRegistry,
-// or pkg/adcc's Registry) and pass it explicitly.
-func Default() *Registry { return defaultRegistry }
-
-// Register adds a scheme to the process-global registry. Registering a
-// name twice panics with the conflicting name.
-//
-// Deprecated: use an instance Registry, whose Register reports
-// conflicts as errors instead of panicking.
-func Register(s Scheme) {
-	if err := defaultRegistry.Register(s); err != nil {
-		panic("engine: " + err.Error())
+// RegisterFamily adds a workload family. A family without a name or a
+// factory, or a name already present, returns an error.
+func (r *Registry) RegisterFamily(f Family) error {
+	if f.Name == "" || f.New == nil {
+		return fmt.Errorf("RegisterFamily of incomplete family (need Name and New)")
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, g := range r.families {
+		if g.Name == f.Name {
+			return fmt.Errorf("duplicate workload family %q", f.Name)
+		}
+	}
+	r.families = append(r.families, f)
+	return nil
 }
 
-// Lookup finds a scheme by name in the process-global registry. It is
-// a compatibility shim for internal callers; new code should resolve
-// names on an instance Registry.
+// Family finds a workload family by name.
+func (r *Registry) Family(name string) (Family, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, f := range r.families {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Family{}, false
+}
+
+// Families returns every registered workload family in registration
+// order, the order a campaign sweeps them in.
+func (r *Registry) Families() []Family {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return append([]Family(nil), r.families...)
+}
+
+// defaultRegistry is the process-global scheme registry behind the
+// package-level lookup functions, which workload code uses to resolve
+// built-in scheme names when no scheme is configured.
+var defaultRegistry = NewBuiltinRegistry()
+
+// Lookup finds a built-in scheme by name in the process-global
+// registry. New code should resolve names on an instance Registry.
 func Lookup(name string) (Scheme, bool) { return defaultRegistry.Lookup(name) }
 
-// MustLookup finds a scheme by name in the process-global registry,
-// panicking on unknown names. It is a compatibility shim for internal
-// callers; new code should resolve names on an instance Registry.
+// MustLookup finds a built-in scheme by name in the process-global
+// registry, panicking on unknown names.
 func MustLookup(name string) Scheme { return defaultRegistry.MustLookup(name) }
 
 // Names returns every scheme name in the process-global registry,
-// sorted. It is a compatibility shim for internal callers; new code
-// should use an instance Registry.
+// sorted.
 func Names() []string { return defaultRegistry.Names() }
 
 // SevenCases returns the paper's seven-case comparison from the
-// process-global registry. It is a compatibility shim for internal
-// callers; new code should use an instance Registry.
+// process-global registry.
 func SevenCases() []Scheme { return defaultRegistry.SevenCases() }

@@ -130,6 +130,31 @@ func (w *BaselineWorkload) Metrics() map[string]float64 {
 	}
 }
 
+// Family is the KV-store workload family (engine.Family). Like the
+// stencil, its flush policy comes from the scheme, so it sweeps the
+// rejected algorithm-directed variants and leaves out the redundant
+// algo-NVM/DRAM label. The store (index + log, ~25 KB at scale 1.0)
+// stays LLC-resident, exactly the regime where the naive index-only
+// design loses its unflushed log records.
+var Family = engine.Family{
+	Name: WorkloadName,
+	Schemes: []string{
+		engine.SchemeNative, engine.SchemeCkptHDD, engine.SchemeCkptNVM,
+		engine.SchemeCkptHetero, engine.SchemePMEM, engine.SchemeAlgoNVM,
+		engine.SchemeAlgoNaive, engine.SchemeAlgoEvery,
+	},
+	New: func(scale float64) func(engine.Scheme) (engine.Workload, error) {
+		opts := Options{Requests: engine.ScaleInt(600, scale, 120), KeySpace: 128, ScanLen: 8, CkptEvery: 16, Seed: 33}
+		want := Oracle(opts)
+		return func(sc engine.Scheme) (engine.Workload, error) {
+			if sc.Kind() == engine.KindAlgo {
+				return &StoreWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+			}
+			return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+		}
+	},
+}
+
 // Interface conformance.
 var (
 	_ engine.Workload = (*StoreWorkload)(nil)

@@ -134,6 +134,32 @@ func (w *BaselineWorkload) Metrics() map[string]float64 {
 	}
 }
 
+// Family is the stencil workload family (engine.Family). Its flush
+// policy comes from the scheme, so it sweeps the rejected
+// algorithm-directed variants too; algo-NVM/DRAM is left out, since the
+// campaign's System axis already runs algo-NVM-only on both platforms.
+// At scale 1.0 the plane history (~1 MB) straddles the campaign LLC, so
+// both evicted-and-persistent and cache-resident-and-lost planes appear
+// in a sweep.
+var Family = engine.Family{
+	Name: WorkloadName,
+	Schemes: []string{
+		engine.SchemeNative, engine.SchemeCkptHDD, engine.SchemeCkptNVM,
+		engine.SchemeCkptHetero, engine.SchemePMEM, engine.SchemeAlgoNVM,
+		engine.SchemeAlgoNaive, engine.SchemeAlgoEvery,
+	},
+	New: func(scale float64) func(engine.Scheme) (engine.Workload, error) {
+		opts := Options{N: engine.ScaleInt(96, scale, 32), MaxIter: 12, Seed: 21}
+		want := Want(opts)
+		return func(sc engine.Scheme) (engine.Workload, error) {
+			if sc.Kind() == engine.KindAlgo {
+				return &HeatWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+			}
+			return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+		}
+	},
+}
+
 // Interface conformance.
 var (
 	_ engine.Workload = (*HeatWorkload)(nil)

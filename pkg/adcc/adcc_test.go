@@ -82,13 +82,13 @@ func TestCustomSchemeAndWorkloadThroughRunner(t *testing.T) {
 	if err := reg.RegisterWorkload(adcc.WorkloadSpec{
 		Name:    "toy",
 		Schemes: []string{"custom-x", adcc.SchemeCkptNVM},
-		New: func(sc adcc.Scheme, scale float64) (adcc.Workload, error) {
-			return &toyWorkload{iters: 100}, nil
+		New: func(float64) func(adcc.Scheme) (adcc.Workload, error) {
+			return func(adcc.Scheme) (adcc.Workload, error) { return &toyWorkload{iters: 100}, nil }
 		},
 	}); err != nil {
 		t.Fatalf("RegisterWorkload: %v", err)
 	}
-	if err := reg.RegisterWorkload(adcc.WorkloadSpec{Name: "toy", New: func(adcc.Scheme, float64) (adcc.Workload, error) { return nil, nil }}); err == nil {
+	if err := reg.RegisterWorkload(adcc.WorkloadSpec{Name: "toy", New: func(float64) func(adcc.Scheme) (adcc.Workload, error) { return nil }}); err == nil {
 		t.Fatal("duplicate RegisterWorkload returned nil error")
 	}
 
@@ -119,20 +119,43 @@ func TestCustomSchemeAndWorkloadThroughRunner(t *testing.T) {
 	}
 }
 
-// TestBuiltinWorkloadsRunAndVerify sweeps the four built-in workloads
-// at CI scale: every scheme must complete and verify.
+// TestBuiltinWorkloadsRunAndVerify sweeps every built-in workload
+// family at CI scale: every scheme must complete and verify. Families
+// that name their own schemes sweep exactly those, in order — the same
+// lists the campaign grid uses.
 func TestBuiltinWorkloadsRunAndVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full workload sweep in -short mode")
 	}
+	extension := []string{
+		adcc.SchemeNative, adcc.SchemeCkptHDD, adcc.SchemeCkptNVM, adcc.SchemeCkptHetero,
+		adcc.SchemePMEM, adcc.SchemeAlgoNVM, adcc.SchemeAlgoNaive, adcc.SchemeAlgoEvery,
+	}
+	wantSchemes := map[string][]string{
+		adcc.WorkloadStencil: extension,
+		adcc.WorkloadKVLog:   extension,
+	}
 	runner := adcc.New(nil, adcc.WithScale(0.05), adcc.WithParallelism(4))
-	for _, workload := range []string{adcc.WorkloadCG, adcc.WorkloadMM, adcc.WorkloadMC, adcc.WorkloadStencil} {
+	names := adcc.NewRegistry().WorkloadNames()
+	if len(names) != 5 {
+		t.Fatalf("built-in workloads = %v, want 5 families", names)
+	}
+	for _, workload := range names {
 		rep, err := runner.Run(context.Background(), workload)
 		if err != nil {
 			t.Fatalf("Run(%s): %v", workload, err)
 		}
 		if len(rep.Cases) < 7 {
 			t.Fatalf("Run(%s) swept %d cases, want >= 7", workload, len(rep.Cases))
+		}
+		if want, ok := wantSchemes[workload]; ok {
+			var got []string
+			for _, c := range rep.Cases {
+				got = append(got, c.Scheme)
+			}
+			if strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Errorf("Run(%s) swept %v, want %v", workload, got, want)
+			}
 		}
 		for _, c := range rep.Cases {
 			if c.Err != "" {
@@ -247,12 +270,14 @@ func TestRunEventStreamCarriesCaseFailures(t *testing.T) {
 	if err := reg.RegisterWorkload(adcc.WorkloadSpec{
 		Name:    "half-broken",
 		Schemes: []string{adcc.SchemeNative, adcc.SchemeAlgoNVM},
-		New: func(sc adcc.Scheme, _ float64) (adcc.Workload, error) {
-			w := &toyWorkload{iters: 10}
-			if sc.Kind() == adcc.KindAlgo {
-				w.iters = -1 // Run does nothing; Verify fails
+		New: func(float64) func(adcc.Scheme) (adcc.Workload, error) {
+			return func(sc adcc.Scheme) (adcc.Workload, error) {
+				w := &toyWorkload{iters: 10}
+				if sc.Kind() == adcc.KindAlgo {
+					w.iters = -1 // Run does nothing; Verify fails
+				}
+				return w, nil
 			}
-			return w, nil
 		},
 	}); err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 // Package adcc is the public library API of the adcc reproduction of
 // Yang et al., "Algorithm-Directed Crash Consistence in Non-Volatile
 // Memory for HPC" (IEEE CLUSTER 2017): a deterministic simulated NVM
-// platform, the paper's three study workloads with their recovery
-// protocols, the consistency-scheme engine, the experiment harness that
+// platform, the paper's three study workloads (plus stencil and KV-store
+// extension families) with their recovery protocols, the
+// consistency-scheme engine, the experiment harness that
 // regenerates every figure, and the statistical crash-injection
 // campaign.
 //
@@ -11,9 +12,10 @@
 // examples are built exclusively on it. The entry points:
 //
 //   - Registry: an instance-scoped namespace of consistency Schemes and
-//     Workloads. NewRegistry seeds the paper's schemes and the three
-//     study workloads; RegisterScheme / RegisterWorkload add custom
-//     ones without init-order coupling.
+//     workload families (WorkloadSpec). NewRegistry seeds the nine
+//     built-in schemes and five built-in families; RegisterScheme /
+//     RegisterWorkload add custom ones without init-order coupling, and
+//     Runner.Run and campaigns sweep them like the built-ins.
 //
 //   - Runner: configured with functional options (WithScale,
 //     WithParallelism, WithSeed, WithSchemes, WithCollector,

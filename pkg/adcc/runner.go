@@ -72,9 +72,11 @@ func WithSchemes(names ...string) Option {
 }
 
 // WithWorkloads restricts campaign runs (RunCampaign and the
-// "campaign" experiment) to the named built-in workloads ("cg", "mm",
-// "mc"); nil means all three. The figure experiments each study one
-// fixed workload and ignore it.
+// "campaign" experiment) to the named registered workload families
+// ("cg", "mm", "mc", "stencil", "kvlog", or a custom family); nil means
+// every family of the runner's registry. An unregistered name fails the
+// run. The figure experiments each study one fixed workload and ignore
+// it.
 func WithWorkloads(names ...string) Option {
 	return func(r *Runner) { r.workloads = names }
 }
@@ -281,6 +283,7 @@ func (r *Runner) Run(ctx context.Context, workload string) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	build := spec.New(r.scale)
 	rep := &RunReport{Workload: workload, Scale: r.scale}
 	// Case failures land in CaseResult.Err (the sweep itself keeps
 	// going), so the event stream is built here rather than through
@@ -303,7 +306,7 @@ func (r *Runner) Run(ctx context.Context, workload string) (*RunReport, error) {
 			sc := schemes[i]
 			r.logf("run/%s: case %s", workload, sc.Name())
 			res := CaseResult{Scheme: sc.Name(), System: sc.System().String()}
-			w, err := spec.New(sc, r.scale)
+			w, err := build(sc)
 			if err != nil {
 				res.Err = err.Error()
 				return res, nil

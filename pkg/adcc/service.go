@@ -22,8 +22,9 @@ type CampaignSpec struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Seed drives crash-point selection (0 is a valid seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Workloads restricts the sweep grid; nil means every built-in
-	// workload.
+	// Workloads restricts the sweep grid to the named workload
+	// families; nil means every family of the registry. An unregistered
+	// name is rejected.
 	Workloads []string `json:"workloads,omitempty"`
 	// Schemes restricts the sweep grid; nil means every scheme each
 	// workload supports. Names outside the built-in grids are resolved

@@ -56,8 +56,10 @@ func TestCampaignCells(t *testing.T) {
 	if _, err := adcc.CampaignCells(nil, adcc.CampaignSpec{Schemes: []string{"bogus"}}); err == nil {
 		t.Error("CampaignCells accepted an unknown scheme")
 	}
-	if _, err := adcc.CampaignCells(nil, adcc.CampaignSpec{Workloads: []string{"bogus"}}); err == nil {
-		t.Error("CampaignCells accepted an unknown workload")
+	for _, ws := range [][]string{{"bogus"}, {"mc", "bogus"}} {
+		if _, err := adcc.CampaignCells(nil, adcc.CampaignSpec{Workloads: ws}); err == nil {
+			t.Errorf("CampaignCells accepted an unknown workload in %v", ws)
+		}
 	}
 }
 
