@@ -54,7 +54,7 @@ func main() { os.Exit(runMain()) }
 func runMain() (code int) {
 	var (
 		workload   = flag.String("workload", "cg", "workload: cg, mm, mc, stencil, or kvlog")
-		n          = flag.Int("n", 6000, "problem size (CG order / MM dimension / stencil grid, default 160 for stencil)")
+		n          = flag.Int("n", 0, "problem size: CG order, MM dimension, or stencil grid (0 = the workload's default: cg 6000, mm 400, stencil 160)")
 		k          = flag.Int("k", 0, "MM rank (default n/10)")
 		loop       = flag.Int("loop", 1, "MM loop to crash in (1 or 2)")
 		lookups    = flag.Int("lookups", 50_000, "MC lookup count")
@@ -151,6 +151,9 @@ func runMain() (code int) {
 		reportCacheState(m)
 	}
 
+	if *n == 0 {
+		*n = map[string]int{"cg": 6000, "mm": 400, "stencil": 160}[*workload]
+	}
 	var run func()
 	var recover func()
 	switch *workload {
@@ -202,15 +205,7 @@ func runMain() (code int) {
 				r.RestartIter(), s.CountsImage())
 		}
 	case "stencil":
-		// The grid history is quadratic in n; the CG-sized default would
-		// allocate hundreds of megabytes, so stencil gets its own.
-		dim := 160
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "n" {
-				dim = *n
-			}
-		})
-		h := adcc.NewHeat(m, em, adcc.HeatOptions{N: dim, MaxIter: *occurrence + 2, Seed: 21})
+		h := adcc.NewHeat(m, em, adcc.HeatOptions{N: *n, MaxIter: *occurrence + 2, Seed: 21})
 		em.CrashAtTrigger(adcc.TriggerStencilIterEnd, *occurrence)
 		run = func() { h.Run(1) }
 		recover = func() {

@@ -411,6 +411,25 @@ func (w *BaselineMMWorkload) Metrics() map[string]float64 {
 	}
 }
 
+// NewCGWorkload returns the CG run under sc: the extended solver for
+// algorithm-directed schemes, the Figure 1 baseline driven through the
+// scheme's Guard otherwise.
+func NewCGWorkload(a *sparse.CSR, opts CGOptions, sc engine.Scheme) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &CGWorkload{A: a, Opts: opts}
+	}
+	return &BaselineCGWorkload{A: a, Opts: opts, Scheme: sc}
+}
+
+// NewMMWorkload returns the multiplication under sc, chosen like
+// NewCGWorkload; want is the optional verification oracle.
+func NewMMWorkload(opts MMOptions, want *dense.Matrix, sc engine.Scheme) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &MMWorkload{Opts: opts, Want: want}
+	}
+	return &BaselineMMWorkload{Opts: opts, Want: want, Scheme: sc}
+}
+
 // The paper's three studies as workload families (engine.Family). Sizes
 // scale with the sweep's problem scale and seeds are fixed, so the only
 // coordinate that varies between two instances of one family is the
@@ -425,10 +444,7 @@ var (
 			a := sparse.GenSPD(engine.ScaleInt(1200, scale, 300), 9, 11)
 			opts := CGOptions{MaxIter: 15, Seed: 11}
 			return func(sc engine.Scheme) (engine.Workload, error) {
-				if sc.Kind() == engine.KindAlgo {
-					return &CGWorkload{A: a, Opts: opts}, nil
-				}
-				return &BaselineCGWorkload{A: a, Opts: opts, Scheme: sc}, nil
+				return NewCGWorkload(a, opts, sc), nil
 			}
 		},
 	}
@@ -440,10 +456,7 @@ var (
 			opts := MMOptions{N: k * engine.ScaleInt(8, scale, 3), K: k, Seed: 12}
 			want := MMWant(opts)
 			return func(sc engine.Scheme) (engine.Workload, error) {
-				if sc.Kind() == engine.KindAlgo {
-					return &MMWorkload{Opts: opts, Want: want}, nil
-				}
-				return &BaselineMMWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+				return NewMMWorkload(opts, want, sc), nil
 			}
 		},
 	}

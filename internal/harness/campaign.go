@@ -13,14 +13,30 @@ import (
 // (internal/campaign) and renders the per-scheme survival table: for
 // every workload x scheme x platform cell, how many of the swept crash
 // points ended in clean recovery, detected recomputation, silent
-// corruption, or an unrecoverable state. With Options.Collector set,
-// every cell is also recorded as a bench result so benchdiff gates
-// recovery-rate regressions; with Options.CampaignJSON set, the full
-// deterministic report is written there inside the adcc-report/v1
-// envelope; with Options.Events set, every injection streams an
-// InjectionDone event in deterministic order.
+// corruption, or an unrecoverable state.
 func RunCampaign(ctx context.Context, o Options) (*Table, error) {
+	rep, err := Campaign(ctx, o, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return CampaignTable(rep), nil
+}
+
+// Campaign runs the campaign o configures and returns its deterministic
+// report; it is the one wiring behind both the "campaign" experiment
+// and the public Runner. completed and onCell are the resume and
+// checkpoint hooks of campaign.Config (nil for a fresh run). With
+// Options.Collector set, every cell is also recorded as a bench result
+// so benchdiff gates recovery-rate regressions; with
+// Options.CampaignStore set, every injection's row is written to a
+// columnar result store; with Options.CampaignJSON set, the full report
+// is written there inside the adcc-report/v1 envelope; with
+// Options.Events set, every injection streams an InjectionDone event in
+// deterministic order.
+func Campaign(ctx context.Context, o Options, completed map[string]campaign.CellReport, onCell func(campaign.CellReport)) (*campaign.Report, error) {
 	cfg := campaign.Config{
+		// The normalized scale is the one the report records, so a
+		// store footer carrying it rebuilds a byte-identical envelope.
 		Scale:       o.scale(),
 		Seed:        o.Seed,
 		Parallel:    o.Parallel,
@@ -31,6 +47,8 @@ func RunCampaign(ctx context.Context, o Options) (*Table, error) {
 		Registry:    o.Registry,
 		Replay:      o.Replay,
 		Events:      o.Events,
+		Completed:   completed,
+		OnCell:      onCell,
 		Verbose:     o.Verbose,
 		Out:         o.Out,
 	}
@@ -59,7 +77,7 @@ func RunCampaign(ctx context.Context, o Options) (*Table, error) {
 			return nil, err
 		}
 	}
-	return CampaignTable(rep), nil
+	return rep, nil
 }
 
 // CampaignTable renders a campaign report as the survival table shown

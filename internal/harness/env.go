@@ -60,6 +60,15 @@ func sevenCases() []engine.Scheme {
 	return engine.SevenCases()
 }
 
+// extendedCases returns the stencil and kvlog scheme sweep: the paper's
+// seven cases plus the rejected algorithm-directed variants both
+// families also support (index-only and every-iteration flushing).
+func extendedCases() []engine.Scheme {
+	return append(sevenCases(),
+		engine.MustLookup(engine.SchemeAlgoNaive),
+		engine.MustLookup(engine.SchemeAlgoEvery))
+}
+
 // schemeLabel builds an event-label function over a scheme slice.
 func schemeLabel(cases []engine.Scheme) func(i int) string {
 	return func(i int) string { return cases[i].Name() }

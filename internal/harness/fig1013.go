@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"adcc/internal/bench"
 	"adcc/internal/core"
 	"adcc/internal/crash"
 	"adcc/internal/engine"
@@ -146,26 +145,11 @@ func RunFig12(ctx context.Context, o Options) (*Table, error) {
 		o, engine.MustLookup(engine.SchemeAlgoNVM))
 }
 
-// fig13Run measures the lookup loop's runtime under one scheme.
-func fig13Run(sc engine.Scheme, cfg mc.Config) int64 {
-	m := newMachineTier(sc.System(), mcLLCBytes, mcAssoc, mcDRAMCache)
-	s := mc.New(m.Heap, m.CPU, cfg)
-	r := core.NewMCRunner(m, nil, s, sc)
-	r.FlushPeriod = runtimeFlushPeriod(cfg.Lookups)
-	start := m.Clock.Now()
-	r.Run(0)
-	return m.Clock.Since(start)
-}
-
 // RunFig13 reproduces Figure 13: runtime of the lookup loop under the
 // seven cases, with checkpoint/flush periods of 0.01% of lookups.
 func RunFig13(ctx context.Context, o Options) (*Table, error) {
 	cfg := mcConfig(o)
-	t := &Table{
-		Name:    "fig13",
-		Title:   "XSBench runtime, seven mechanisms (normalized to native)",
-		Headers: []string{"Case", "System", "Time(ms)", "Normalized", "Paper"},
-	}
+	period := runtimeFlushPeriod(cfg.Lookups)
 	paperRef := map[string]string{
 		caseNative:     "1.000",
 		caseCkptHDD:    "large",
@@ -175,44 +159,23 @@ func RunFig13(ctx context.Context, o Options) (*Table, error) {
 		caseAlgoNVM:    "<=1.0005",
 		caseAlgoHetero: "<=1.0005",
 	}
-	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
-	baseLabel := func(i int) string { return "native@" + kinds[i].String() }
-	baseTimes, err := runCases(ctx, o, "fig13/base", baseLabel, len(kinds), func(i int) (int64, error) {
-		m := newMachineTier(kinds[i], mcLLCBytes, mcAssoc, mcDRAMCache)
-		s := mc.New(m.Heap, m.CPU, cfg)
-		r := core.NewMCRunner(m, nil, s, nil)
-		start := m.Clock.Now()
-		r.Run(0)
-		return m.Clock.Since(start), nil
-	})
+	t, err := runtimeTable{
+		name:  "fig13",
+		title: "XSBench runtime, seven mechanisms (normalized to native)",
+		cases: sevenCases(),
+		machine: func(sys crash.SystemKind) *crash.Machine {
+			return newMachineTier(sys, mcLLCBytes, mcAssoc, mcDRAMCache)
+		},
+		workload: func(sc engine.Scheme) engine.Workload {
+			return &core.MCWorkload{Cfg: cfg, Scheme: sc, FlushPeriod: period}
+		},
+		headers: []string{"Paper"},
+		extra:   func(sc engine.Scheme, _ engine.Workload) []any { return []any{paperRef[sc.Name()]} },
+	}.run(ctx, o)
 	if err != nil {
 		return nil, err
 	}
-	base := map[crash.SystemKind]int64{}
-	for i, kind := range kinds {
-		base[kind] = baseTimes[i]
-	}
-	cases := sevenCases()
-	times, err := runCases(ctx, o, "fig13", schemeLabel(cases), len(cases), func(i int) (int64, error) {
-		sc := cases[i]
-		o.logf("fig13: case %s", sc.Name())
-		if sc.Name() == caseNative {
-			return base[crash.NVMOnly], nil
-		}
-		return fig13Run(sc, cfg), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range cases {
-		ns := times[i]
-		sys := sc.System()
-		o.Collector.Record(bench.Result{Name: "fig13/" + sc.Name(), SimNS: ns})
-		t.AddRow(sc.Name(), sys.String(),
-			fmt.Sprintf("%.2f", float64(ns)/1e6),
-			normalize(ns, base[sys]), paperRef[sc.Name()])
-	}
-	t.AddNote("checkpoint/flush period = %d lookups (event-work-to-computation ratio of the paper's 0.01%% of 1.5e7 setup)", runtimeFlushPeriod(cfg.Lookups))
+	t.AddNote("checkpoint/flush period = %d lookups (event-work-to-computation ratio of the paper's 0.01%% of 1.5e7 setup)", period)
 	return t, nil
 }
 
@@ -236,13 +199,11 @@ func RunMCFlushAblation(ctx context.Context, o Options) (*Table, error) {
 		period := periods[i]
 		o.logf("mc-flush: period=%d", period)
 		// Runtime without crash.
-		m := newMachine(crash.NVMOnly, mcLLCBytes, mcAssoc)
-		s := mc.New(m.Heap, m.CPU, cfg)
-		r := core.NewMCRunner(m, nil, s, selective)
-		r.FlushPeriod = period
-		start := m.Clock.Now()
-		r.Run(0)
-		ns := m.Clock.Since(start)
+		ns, err := timeRun(newMachine(crash.NVMOnly, mcLLCBytes, mcAssoc),
+			&core.MCWorkload{Cfg: cfg, Scheme: selective, FlushPeriod: period})
+		if err != nil {
+			return nil, err
+		}
 
 		// Accuracy with crash.
 		m2 := newMachine(crash.NVMOnly, mcLLCBytes, mcAssoc)

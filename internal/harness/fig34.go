@@ -72,58 +72,11 @@ func RunFig3(ctx context.Context, o Options) (*Table, error) {
 	return t, nil
 }
 
-// cgCase runs one scheme of the seven-case comparison for CG and returns
-// total simulated runtime. Algorithm-directed schemes run the extended
-// solver; the others run the Figure 1 baseline under the scheme's guard.
-func cgCase(sc engine.Scheme, a *sparse.CSR, opts core.CGOptions) int64 {
-	m := newMachine(sc.System(), cgLLCBytes, 16)
-	var start int64
-	if sc.Kind() == engine.KindAlgo {
-		cg := core.NewCG(m, nil, a, opts)
-		start = m.Clock.Now()
-		cg.Run(1)
-	} else {
-		bg := core.NewBaselineCG(m, a, opts, sc)
-		start = m.Clock.Now()
-		bg.Run()
-	}
-	return m.Clock.Since(start)
-}
-
-// cgNativeBase measures native execution on both memory systems, the
-// normalization denominators of Figure 4.
-func cgNativeBase(ctx context.Context, o Options, a *sparse.CSR, opts core.CGOptions) (map[crash.SystemKind]int64, error) {
-	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
-	label := func(i int) string { return "native@" + kinds[i].String() }
-	times, err := runCases(ctx, o, "fig4/base", label, len(kinds), func(i int) (int64, error) {
-		m := newMachine(kinds[i], cgLLCBytes, 16)
-		bg := core.NewBaselineCG(m, a, opts, nil)
-		start := m.Clock.Now()
-		bg.Run()
-		return m.Clock.Since(start), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	base := map[crash.SystemKind]int64{}
-	for i, kind := range kinds {
-		base[kind] = times[i]
-	}
-	return base, nil
-}
-
 // RunFig4 reproduces Figure 4: CG runtime under the seven mechanisms,
 // normalized by native execution on the same memory system. Class C is
 // the input; checkpoint and PMEM act once per iteration so every
 // mechanism has the same one-iteration recomputation bound.
 func RunFig4(ctx context.Context, o Options) (*Table, error) {
-	t := &Table{
-		Name:  "fig4",
-		Title: "CG runtime, seven mechanisms (normalized to native)",
-		Headers: []string{
-			"Case", "System", "Time(ms)", "Normalized", "Paper",
-		},
-	}
 	cl, _ := sparse.ClassByName("C")
 	n := o.scaleInt(cl.N, 2000)
 	o.logf("fig4: class C n=%d", n)
@@ -139,31 +92,19 @@ func RunFig4(ctx context.Context, o Options) (*Table, error) {
 		caseAlgoNVM:    "<1.03",
 		caseAlgoHetero: "<1.03",
 	}
-
-	base, err := cgNativeBase(ctx, o, a, opts)
+	t, err := runtimeTable{
+		name:    "fig4",
+		title:   "CG runtime, seven mechanisms (normalized to native)",
+		cases:   sevenCases(),
+		machine: func(sys crash.SystemKind) *crash.Machine { return newMachine(sys, cgLLCBytes, 16) },
+		workload: func(sc engine.Scheme) engine.Workload {
+			return core.NewCGWorkload(a, opts, sc)
+		},
+		headers: []string{"Paper"},
+		extra:   func(sc engine.Scheme, _ engine.Workload) []any { return []any{paperRef[sc.Name()]} },
+	}.run(ctx, o)
 	if err != nil {
 		return nil, err
-	}
-
-	cases := sevenCases()
-	times, err := runCases(ctx, o, "fig4", schemeLabel(cases), len(cases), func(i int) (int64, error) {
-		sc := cases[i]
-		o.logf("fig4: case %s", sc.Name())
-		if sc.Name() == caseNative {
-			return base[crash.NVMOnly], nil
-		}
-		return cgCase(sc, a, opts), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range cases {
-		ns := times[i]
-		sys := sc.System()
-		o.Collector.Record(bench.Result{Name: "fig4/" + sc.Name(), SimNS: ns})
-		t.AddRow(sc.Name(), sys.String(),
-			fmt.Sprintf("%.2f", float64(ns)/1e6),
-			normalize(ns, base[sys]), paperRef[sc.Name()])
 	}
 	t.AddNote("checkpoint/PMEM act once per CG iteration (same recomputation bound as algo)")
 	return t, nil

@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"adcc/internal/bench"
 	"adcc/internal/core"
@@ -133,23 +134,6 @@ func avgPositive(v []int64) int64 {
 	return 1
 }
 
-// mmCase runs one scheme of the seven-case comparison for the
-// multiplication and returns total simulated runtime.
-func mmCase(sc engine.Scheme, opts core.MMOptions) int64 {
-	m := newMachine(sc.System(), mmLLCBytes, 16)
-	var start int64
-	if sc.Kind() == engine.KindAlgo {
-		mm := core.NewMM(m, nil, opts)
-		start = m.Clock.Now()
-		mm.Run()
-	} else {
-		bm := core.NewBaselineMM(m, opts, sc)
-		start = m.Clock.Now()
-		bm.Run()
-	}
-	return m.Clock.Now() - start
-}
-
 // RunFig8 reproduces Figure 8 (a,b,c): runtime of ABFT matrix
 // multiplication under the seven mechanisms for three rank sizes,
 // normalized to native execution on the same system. Checkpoint and
@@ -168,31 +152,26 @@ func RunFig8(ctx context.Context, o Options) (*Table, error) {
 	ranks := []int{n / 40, n / 20, n / 8}
 	o.logf("fig8: n=%d ranks=%v", n, ranks)
 
+	mmRun := func(k int, sc engine.Scheme, sys crash.SystemKind) (int64, error) {
+		w := core.NewMMWorkload(core.MMOptions{N: n, K: k, Seed: int64(k)}, nil, sc)
+		return timeRun(newMachine(sys, mmLLCBytes, 16), w)
+	}
+
 	// Native baselines per rank and system, the normalization
 	// denominators.
 	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
+	native := engine.MustLookup(engine.SchemeNative)
 	baseLabel := func(i int) string {
 		return fmt.Sprintf("native/k=%d@%s", ranks[i/len(kinds)], kinds[i%len(kinds)])
 	}
 	baseTimes, err := runCases(ctx, o, "fig8/base", baseLabel, len(ranks)*len(kinds), func(i int) (int64, error) {
-		k := ranks[i/len(kinds)]
-		kind := kinds[i%len(kinds)]
-		opts := core.MMOptions{N: n, K: k, Seed: int64(k)}
-		m := newMachine(kind, mmLLCBytes, 16)
-		bm := core.NewBaselineMM(m, opts, nil)
-		start := m.Clock.Now()
-		bm.Run()
-		return m.Clock.Since(start), nil
+		return mmRun(ranks[i/len(kinds)], native, kinds[i%len(kinds)])
 	})
 	if err != nil {
 		return nil, err
 	}
-	base := make([]map[crash.SystemKind]int64, len(ranks))
-	for ri := range ranks {
-		base[ri] = map[crash.SystemKind]int64{}
-		for ki, kind := range kinds {
-			base[ri][kind] = baseTimes[ri*len(kinds)+ki]
-		}
+	base := func(ri int, sys crash.SystemKind) int64 {
+		return baseTimes[ri*len(kinds)+slices.Index(kinds, sys)]
 	}
 
 	cases := sevenCases()
@@ -200,13 +179,12 @@ func RunFig8(ctx context.Context, o Options) (*Table, error) {
 		return fmt.Sprintf("k=%d/%s", ranks[i/len(cases)], cases[i%len(cases)].Name())
 	}
 	times, err := runCases(ctx, o, "fig8", caseLabel, len(ranks)*len(cases), func(i int) (int64, error) {
-		ri, ci := i/len(cases), i%len(cases)
-		k, sc := ranks[ri], cases[ci]
-		o.logf("fig8: k=%d case %s", k, sc.Name())
+		ri, sc := i/len(cases), cases[i%len(cases)]
+		o.logf("fig8: k=%d case %s", ranks[ri], sc.Name())
 		if sc.Name() == caseNative {
-			return base[ri][crash.NVMOnly], nil
+			return base(ri, crash.NVMOnly), nil
 		}
-		return mmCase(sc, core.MMOptions{N: n, K: k, Seed: int64(k)}), nil
+		return mmRun(ranks[ri], sc, sc.System())
 	})
 	if err != nil {
 		return nil, err
@@ -221,7 +199,7 @@ func RunFig8(ctx context.Context, o Options) (*Table, error) {
 			})
 			t.AddRow(k, sc.Name(), sys.String(),
 				fmt.Sprintf("%.2f", float64(ns)/1e6),
-				normalize(ns, base[ri][sys]))
+				normalize(ns, base(ri, sys)))
 		}
 	}
 	t.AddNote("paper: algo <= 1.082 at rank 200, 1.013 at rank 1000; ckpt-NVM/DRAM >= 1.218 at rank 200")

@@ -20,34 +20,6 @@ func kvlogOpts(o Options) kvlog.Options {
 	return kvlog.Options{Requests: o.scaleInt(2400, 240), KeySpace: 256, ScanLen: 8, CkptEvery: 16, Seed: 33}
 }
 
-// kvlogCases returns the family's scheme sweep: the paper's seven cases
-// plus the rejected algorithm-directed variants (index-only and
-// every-mutation index flushing).
-func kvlogCases() []engine.Scheme {
-	return append(sevenCases(),
-		engine.MustLookup(engine.SchemeAlgoNaive),
-		engine.MustLookup(engine.SchemeAlgoEvery))
-}
-
-// kvlogCase runs one scheme of the KV comparison and returns the total
-// simulated runtime plus the per-request latencies. Algorithm-directed
-// schemes run the log-replay store; the others run the baseline under
-// the scheme's guard.
-func kvlogCase(sc engine.Scheme, opts kvlog.Options) (int64, []int64) {
-	m := newMachine(sc.System(), kvlogLLCBytes, 16)
-	if sc.Kind() == engine.KindAlgo {
-		s := kvlog.NewStore(m, nil, opts)
-		s.Policy = sc.FlushPolicy()
-		start := m.Clock.Now()
-		s.Run(1)
-		return m.Clock.Since(start), s.ReqNS[1:]
-	}
-	b := kvlog.NewBaseline(m, opts, sc)
-	start := m.Clock.Now()
-	b.Run()
-	return m.Clock.Since(start), b.ReqNS[1:]
-}
-
 // RunKVLog drives the served-traffic workload family: a persistent KV
 // store under every mechanism, presented the way a serving system is
 // judged — simulated throughput and request tail latency — plus the
@@ -57,58 +29,25 @@ func kvlogCase(sc engine.Scheme, opts kvlog.Options) (int64, []int64) {
 // models) lives in the campaign experiment, whose grid includes the
 // kvlog cells.
 func RunKVLog(ctx context.Context, o Options) (*Table, error) {
-	t := &Table{
-		Name:    "kvlog",
-		Title:   "Persistent KV store under mechanisms (throughput and request tail latency)",
-		Headers: []string{"Case", "System", "Time(ms)", "Normalized", "kOps/s", "p50(ns)", "p99(ns)"},
-	}
 	opts := kvlogOpts(o)
 	o.logf("kvlog: requests=%d keyspace=%d", opts.Requests, opts.KeySpace)
-
-	// Native execution on both memory systems: the normalization
-	// denominators.
-	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
-	baseLabel := func(i int) string { return "native@" + kinds[i].String() }
-	baseTimes, err := runCases(ctx, o, "kvlog/base", baseLabel, len(kinds), func(i int) (int64, error) {
-		m := newMachine(kinds[i], kvlogLLCBytes, 16)
-		b := kvlog.NewBaseline(m, opts, nil)
-		start := m.Clock.Now()
-		b.Run()
-		return m.Clock.Since(start), nil
-	})
+	t, err := runtimeTable{
+		name:    "kvlog",
+		title:   "Persistent KV store under mechanisms (throughput and request tail latency)",
+		cases:   extendedCases(),
+		machine: func(sys crash.SystemKind) *crash.Machine { return newMachine(sys, kvlogLLCBytes, 16) },
+		workload: func(sc engine.Scheme) engine.Workload {
+			return kvlog.NewWorkload(opts, nil, sc)
+		},
+		headers: []string{"kOps/s", "p50(ns)", "p99(ns)"},
+		extra: func(_ engine.Scheme, w engine.Workload) []any {
+			mt := w.Metrics()
+			return []any{fmt.Sprintf("%.1f", mt["ops_per_sec"]/1e3),
+				int64(mt["p50_req_ns"]), int64(mt["p99_req_ns"])}
+		},
+	}.run(ctx, o)
 	if err != nil {
 		return nil, err
-	}
-	base := map[crash.SystemKind]int64{}
-	for i, k := range kinds {
-		base[k] = baseTimes[i]
-	}
-
-	cases := kvlogCases()
-	type kvRes struct {
-		ns  int64
-		lat []int64
-	}
-	results := make([]kvRes, len(cases))
-	times, err := runCases(ctx, o, "kvlog", schemeLabel(cases), len(cases), func(i int) (int64, error) {
-		sc := cases[i]
-		o.logf("kvlog: case %s", sc.Name())
-		ns, lat := kvlogCase(sc, opts)
-		results[i] = kvRes{ns: ns, lat: lat}
-		return ns, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range cases {
-		ns := times[i]
-		lat := results[i].lat
-		sys := sc.System()
-		o.Collector.Record(bench.Result{Name: "kvlog/" + sc.Name(), SimNS: ns})
-		t.AddRow(sc.Name(), sys.String(),
-			fmt.Sprintf("%.2f", float64(ns)/1e6), normalize(ns, base[sys]),
-			fmt.Sprintf("%.1f", kvlog.Throughput(lat)/1e3),
-			kvlog.Percentile(lat, 50), kvlog.Percentile(lat, 99))
 	}
 
 	// Crash test: inject at the end of the last request and recover by

@@ -3,10 +3,15 @@ package harness
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden tables in testdata")
 
 func TestRunCasesPreservesOrder(t *testing.T) {
 	o := Options{Parallel: 8}
@@ -83,7 +88,9 @@ func TestRunCasesSerialFallback(t *testing.T) {
 // TestParallelRunsAreByteIdentical is the harness's determinism
 // contract: every experiment's table must be byte-identical whether its
 // cases run serially or through the worker pool. Each case builds its
-// own seeded machine, so scheduling cannot leak into results.
+// own seeded machine, so scheduling cannot leak into results. The
+// serial table must also match testdata/<name>.golden byte for byte,
+// which pins every driver's output across refactors.
 func TestParallelRunsAreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
@@ -103,6 +110,19 @@ func TestParallelRunsAreByteIdentical(t *testing.T) {
 			serial, par := serialTab.String(), parTab.String()
 			if serial != par {
 				t.Fatalf("parallel table differs from serial:\n--- serial ---\n%s--- parallel ---\n%s", serial, par)
+			}
+			golden := filepath.Join("testdata", e.Name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, []byte(serial), 0o644); err != nil {
+					t.Fatalf("update golden: %v", err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if serial != string(want) {
+				t.Fatalf("table differs from %s (if intentional, regenerate with: go test ./internal/harness -run TestParallelRunsAreByteIdentical -update):\n--- got ---\n%s--- want ---\n%s", golden, serial, want)
 			}
 		})
 	}

@@ -21,35 +21,6 @@ func stencilOpts(o Options) stencil.Options {
 	return stencil.Options{N: o.scaleInt(160, 48), MaxIter: 12, Seed: 21}
 }
 
-// stencilCases returns the family's scheme sweep: the paper's seven
-// cases plus the rejected algorithm-directed variants the stencil also
-// supports (index-only and every-iteration).
-func stencilCases() []engine.Scheme {
-	return append(sevenCases(),
-		engine.MustLookup(engine.SchemeAlgoNaive),
-		engine.MustLookup(engine.SchemeAlgoEvery))
-}
-
-// stencilCase runs one scheme of the stencil comparison and returns the
-// total simulated runtime. Algorithm-directed schemes run the extended
-// (plane-history) relaxation; the others run the ping-pong baseline
-// under the scheme's guard.
-func stencilCase(sc engine.Scheme, opts stencil.Options) int64 {
-	m := newMachine(sc.System(), stencilLLCBytes, 16)
-	var start int64
-	if sc.Kind() == engine.KindAlgo {
-		h := stencil.NewHeat(m, nil, opts)
-		h.Policy = sc.FlushPolicy()
-		start = m.Clock.Now()
-		h.Run(1)
-	} else {
-		bg := stencil.NewBaseline(m, opts, sc)
-		start = m.Clock.Now()
-		bg.Run()
-	}
-	return m.Clock.Since(start)
-}
-
 // RunStencil drives the extension workload family: Jacobi heat
 // relaxation under every mechanism (runtime normalized to native on the
 // same memory system, the Figure 4/8/13 presentation), plus one
@@ -58,51 +29,19 @@ func stencilCase(sc engine.Scheme, opts stencil.Options) int64 {
 // family — every crash point, every scheme — lives in the campaign
 // experiment, whose grid includes the stencil cells.
 func RunStencil(ctx context.Context, o Options) (*Table, error) {
-	t := &Table{
-		Name:    "stencil",
-		Title:   "Jacobi heat stencil runtime under mechanisms (normalized to native)",
-		Headers: []string{"Case", "System", "Time(ms)", "Normalized"},
-	}
 	opts := stencilOpts(o)
 	o.logf("stencil: n=%d", opts.N)
-
-	// Native execution on both memory systems: the normalization
-	// denominators.
-	kinds := []crash.SystemKind{crash.NVMOnly, crash.Hetero}
-	baseLabel := func(i int) string { return "native@" + kinds[i].String() }
-	baseTimes, err := runCases(ctx, o, "stencil/base", baseLabel, len(kinds), func(i int) (int64, error) {
-		m := newMachine(kinds[i], stencilLLCBytes, 16)
-		bg := stencil.NewBaseline(m, opts, nil)
-		start := m.Clock.Now()
-		bg.Run()
-		return m.Clock.Since(start), nil
-	})
+	t, err := runtimeTable{
+		name:    "stencil",
+		title:   "Jacobi heat stencil runtime under mechanisms (normalized to native)",
+		cases:   extendedCases(),
+		machine: func(sys crash.SystemKind) *crash.Machine { return newMachine(sys, stencilLLCBytes, 16) },
+		workload: func(sc engine.Scheme) engine.Workload {
+			return stencil.NewWorkload(opts, nil, sc)
+		},
+	}.run(ctx, o)
 	if err != nil {
 		return nil, err
-	}
-	base := map[crash.SystemKind]int64{}
-	for i, k := range kinds {
-		base[k] = baseTimes[i]
-	}
-
-	cases := stencilCases()
-	times, err := runCases(ctx, o, "stencil", schemeLabel(cases), len(cases), func(i int) (int64, error) {
-		sc := cases[i]
-		o.logf("stencil: case %s", sc.Name())
-		if sc.Name() == caseNative {
-			return base[crash.NVMOnly], nil
-		}
-		return stencilCase(sc, opts), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range cases {
-		ns := times[i]
-		sys := sc.System()
-		o.Collector.Record(bench.Result{Name: "stencil/" + sc.Name(), SimNS: ns})
-		t.AddRow(sc.Name(), sys.String(),
-			fmt.Sprintf("%.2f", float64(ns)/1e6), normalize(ns, base[sys]))
 	}
 
 	// Crash test: inject at the end of the last sweep and recover under

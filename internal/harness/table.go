@@ -169,8 +169,9 @@ type Options struct {
 	// cell, forked per injection class. The report is byte-identical to
 	// the legacy path; only wall-clock cost differs.
 	Replay bool
-	// Registry resolves scheme names for the campaign experiment; nil
-	// means the process-global registry. The figure experiments always
+	// Registry holds the workload families and resolves scheme names
+	// for the campaign experiment; nil means campaign.NewRegistry(),
+	// the built-in schemes and families. The figure experiments always
 	// run the paper's built-in seven cases.
 	Registry *engine.Registry
 	// Events, when non-nil, receives the streaming progress events

@@ -130,6 +130,17 @@ func (w *BaselineWorkload) Metrics() map[string]float64 {
 	}
 }
 
+// NewWorkload returns the kvlog run under sc: the log-replay store for
+// algorithm-directed schemes (flushing per the scheme's FlushPolicy),
+// the baseline driven through the scheme's Guard otherwise. want is the
+// optional verification oracle.
+func NewWorkload(opts Options, want map[int64]int64, sc engine.Scheme) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &StoreWorkload{Opts: opts, Want: want, Scheme: sc}
+	}
+	return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}
+}
+
 // Family is the KV-store workload family (engine.Family). Like the
 // stencil, its flush policy comes from the scheme, so it sweeps the
 // rejected algorithm-directed variants and leaves out the redundant
@@ -147,10 +158,7 @@ var Family = engine.Family{
 		opts := Options{Requests: engine.ScaleInt(600, scale, 120), KeySpace: 128, ScanLen: 8, CkptEvery: 16, Seed: 33}
 		want := Oracle(opts)
 		return func(sc engine.Scheme) (engine.Workload, error) {
-			if sc.Kind() == engine.KindAlgo {
-				return &StoreWorkload{Opts: opts, Want: want, Scheme: sc}, nil
-			}
-			return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+			return NewWorkload(opts, want, sc), nil
 		}
 	},
 }

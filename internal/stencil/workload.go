@@ -134,6 +134,17 @@ func (w *BaselineWorkload) Metrics() map[string]float64 {
 	}
 }
 
+// NewWorkload returns the stencil run under sc: the extended
+// plane-history relaxation for algorithm-directed schemes (flushing per
+// the scheme's FlushPolicy), the ping-pong baseline driven through the
+// scheme's Guard otherwise. want is the optional verification oracle.
+func NewWorkload(opts Options, want []float64, sc engine.Scheme) engine.Workload {
+	if sc.Kind() == engine.KindAlgo {
+		return &HeatWorkload{Opts: opts, Want: want, Scheme: sc}
+	}
+	return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}
+}
+
 // Family is the stencil workload family (engine.Family). Its flush
 // policy comes from the scheme, so it sweeps the rejected
 // algorithm-directed variants too; algo-NVM/DRAM is left out, since the
@@ -152,10 +163,7 @@ var Family = engine.Family{
 		opts := Options{N: engine.ScaleInt(96, scale, 32), MaxIter: 12, Seed: 21}
 		want := Want(opts)
 		return func(sc engine.Scheme) (engine.Workload, error) {
-			if sc.Kind() == engine.KindAlgo {
-				return &HeatWorkload{Opts: opts, Want: want, Scheme: sc}, nil
-			}
-			return &BaselineWorkload{Opts: opts, Want: want, Scheme: sc}, nil
+			return NewWorkload(opts, want, sc), nil
 		}
 	},
 }

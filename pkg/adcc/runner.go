@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"io"
 
-	"adcc/internal/campaign"
 	"adcc/internal/crash"
 	"adcc/internal/engine"
 	"adcc/internal/harness"
-	"adcc/internal/report"
-	"adcc/internal/resultstore"
 )
 
 // Table is a rendered experiment result (aligned text via Fprint /
@@ -44,7 +41,7 @@ type Option func(*Runner)
 // reproduces the paper-shape sizes, smaller values give CI-sized runs
 // with the same qualitative behaviour.
 func WithScale(scale float64) Option {
-	return func(r *Runner) { r.scale = scale }
+	return func(r *Runner) { r.opts.Scale = scale }
 }
 
 // WithParallelism bounds how many independent cases (experiment cases,
@@ -52,13 +49,13 @@ func WithScale(scale float64) Option {
 // run serially. Every result — tables, reports, event streams — is
 // byte-identical at any setting.
 func WithParallelism(n int) Option {
-	return func(r *Runner) { r.parallel = n }
+	return func(r *Runner) { r.opts.Parallel = n }
 }
 
 // WithSeed sets the campaign's crash-point seed (the default 0 is a
 // valid seed). The figure experiments use fixed paper-shape seeds.
 func WithSeed(seed int64) Option {
-	return func(r *Runner) { r.seed = seed }
+	return func(r *Runner) { r.opts.Seed = seed }
 }
 
 // WithSchemes restricts sweeps to the named schemes: Run sweeps exactly
@@ -68,7 +65,7 @@ func WithSeed(seed int64) Option {
 // in the runner's registry at run time. The figure experiments
 // reproduce the paper's fixed seven-case comparison and ignore it.
 func WithSchemes(names ...string) Option {
-	return func(r *Runner) { r.schemes = names }
+	return func(r *Runner) { r.opts.Schemes = names }
 }
 
 // WithWorkloads restricts campaign runs (RunCampaign and the
@@ -78,13 +75,13 @@ func WithSchemes(names ...string) Option {
 // run. The figure experiments each study one fixed workload and ignore
 // it.
 func WithWorkloads(names ...string) Option {
-	return func(r *Runner) { r.workloads = names }
+	return func(r *Runner) { r.opts.Workloads = names }
 }
 
 // WithInjectionsPerCell overrides the campaign's number of injections
 // per cell (0 = scaled default). Only campaign runs use it.
 func WithInjectionsPerCell(n int) Option {
-	return func(r *Runner) { r.perCell = n }
+	return func(r *Runner) { r.opts.PerCell = n }
 }
 
 // WithFaultModels selects the crash-time fault/persistency models
@@ -96,7 +93,7 @@ func WithInjectionsPerCell(n int) Option {
 // default) sweeps clean fail-stop only, producing reports
 // byte-identical to runners without the option.
 func WithFaultModels(models ...string) Option {
-	return func(r *Runner) { r.faultModels = models }
+	return func(r *Runner) { r.opts.FaultModels = models }
 }
 
 // WithCampaignReplay switches campaign runs (RunCampaign and the
@@ -107,7 +104,7 @@ func WithFaultModels(models ...string) Option {
 // the default per-injection path; only the wall-clock cost (and the
 // recording-run Progress events in the stream) differ.
 func WithCampaignReplay(on bool) Option {
-	return func(r *Runner) { r.replay = on }
+	return func(r *Runner) { r.opts.Replay = on }
 }
 
 // WithCampaignResume seeds RunCampaign with cells already aggregated by
@@ -136,25 +133,25 @@ func WithCampaignCheckpoint(fn func(CampaignCell)) Option {
 // records one Result (named "<experiment>/<case>" or
 // "<workload>/<scheme>") carrying the deterministic simulated timings.
 func WithCollector(c *Collector) Option {
-	return func(r *Runner) { r.collector = c }
+	return func(r *Runner) { r.opts.Collector = c }
 }
 
 // WithEventSink attaches a streaming event sink. Events are emitted in
 // deterministic case-index order; see Event.
 func WithEventSink(sink EventSink) Option {
-	return func(r *Runner) { r.sink = sink }
+	return func(r *Runner) { r.opts.Events = sink }
 }
 
 // WithVerbose enables progress notes on w while runs execute.
 func WithVerbose(w io.Writer) Option {
-	return func(r *Runner) { r.verbose, r.out = true, w }
+	return func(r *Runner) { r.opts.Verbose, r.opts.Out = true, w }
 }
 
 // WithCampaignJSON makes campaign runs (RunCampaign and the "campaign"
 // experiment) write the full machine-readable report, wrapped in the
 // adcc-report/v1 envelope, to path.
 func WithCampaignJSON(path string) Option {
-	return func(r *Runner) { r.campaignJSON = path }
+	return func(r *Runner) { r.opts.CampaignJSON = path }
 }
 
 // WithCampaignStore makes campaign runs (RunCampaign and the
@@ -166,7 +163,7 @@ func WithCampaignJSON(path string) Option {
 // campaign report the v1 envelope is exported from. Incompatible with
 // WithCampaignResume: restored cells carry no per-injection rows.
 func WithCampaignStore(path string) Option {
-	return func(r *Runner) { r.campaignStore = path }
+	return func(r *Runner) { r.opts.CampaignStore = path }
 }
 
 // Runner executes workload sweeps, harness experiments, and
@@ -180,23 +177,12 @@ func WithCampaignStore(path string) Option {
 // that an attached EventSink sees one sequential stream per call — run
 // concurrent sweeps with separate sinks.
 type Runner struct {
-	reg           *Registry
-	scale         float64
-	parallel      int
-	seed          int64
-	schemes       []string
-	workloads     []string
-	perCell       int
-	faultModels   []string
-	replay        bool
-	completed     map[string]CampaignCell
-	onCell        func(CampaignCell)
-	collector     *Collector
-	sink          EventSink
-	verbose       bool
-	out           io.Writer
-	campaignJSON  string
-	campaignStore string
+	reg *Registry
+	// opts is the configuration every run hands to the harness; the
+	// options above set its fields.
+	opts      harness.Options
+	completed map[string]CampaignCell
+	onCell    func(CampaignCell)
 }
 
 // New builds a Runner over reg (nil means a fresh NewRegistry with the
@@ -205,7 +191,7 @@ func New(reg *Registry, opts ...Option) *Runner {
 	if reg == nil {
 		reg = NewRegistry()
 	}
-	r := &Runner{reg: reg, scale: 1.0}
+	r := &Runner{reg: reg, opts: harness.Options{Scale: 1.0, Registry: reg.engineRegistry()}}
 	for _, o := range opts {
 		o(r)
 	}
@@ -250,7 +236,7 @@ func (r *RunReport) Failed() []CaseResult {
 
 // runSchemes resolves the scheme list a sweep of spec covers.
 func (r *Runner) runSchemes(spec WorkloadSpec) ([]Scheme, error) {
-	names := r.schemes
+	names := r.opts.Schemes
 	if len(names) == 0 {
 		names = spec.Schemes
 	}
@@ -283,25 +269,25 @@ func (r *Runner) Run(ctx context.Context, workload string) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	build := spec.New(r.scale)
-	rep := &RunReport{Workload: workload, Scale: r.scale}
+	build := spec.New(r.opts.Scale)
+	rep := &RunReport{Workload: workload, Scale: r.opts.Scale}
 	// Case failures land in CaseResult.Err (the sweep itself keeps
 	// going), so the event stream is built here rather than through
 	// engine.EmitCases: a failed case must stream its error, not "ok".
 	var observe func(i int, v CaseResult, err error)
-	if r.sink != nil {
+	if sink := r.opts.Events; sink != nil {
 		exp := "run/" + workload
 		observe = func(i int, v CaseResult, _ error) {
-			r.sink.Emit(engine.CaseStarted{
+			sink.Emit(engine.CaseStarted{
 				Experiment: exp, Case: schemes[i].Name(), Index: i, Total: len(schemes),
 			})
-			r.sink.Emit(engine.CaseFinished{
+			sink.Emit(engine.CaseFinished{
 				Experiment: exp, Case: schemes[i].Name(), Index: i, Total: len(schemes),
 				Err: v.Err,
 			})
 		}
 	}
-	cases, err := engine.RunCasesObserved(ctx, r.parallel, len(schemes),
+	cases, err := engine.RunCasesObserved(ctx, r.opts.Parallel, len(schemes),
 		func(i int) (CaseResult, error) {
 			sc := schemes[i]
 			r.logf("run/%s: case %s", workload, sc.Name())
@@ -324,7 +310,7 @@ func (r *Runner) Run(ctx context.Context, workload string) (*RunReport, error) {
 				return res, nil
 			}
 			res.Metrics = w.Metrics()
-			r.collector.Record(Result{
+			r.opts.Collector.Record(Result{
 				Name:  fmt.Sprintf("%s/%s", workload, sc.Name()),
 				SimNS: res.SimNS,
 			})
@@ -344,23 +330,7 @@ func (r *Runner) RunExperiment(ctx context.Context, name string) (*Table, error)
 	if !ok {
 		return nil, fmt.Errorf("adcc: unknown experiment %q (see Experiments)", name)
 	}
-	return e.Run(ctx, harness.Options{
-		Scale:         r.scale,
-		Parallel:      r.parallel,
-		Seed:          r.seed,
-		Workloads:     r.workloads,
-		Schemes:       r.schemes,
-		PerCell:       r.perCell,
-		FaultModels:   r.faultModels,
-		Replay:        r.replay,
-		Registry:      r.reg.engineRegistry(),
-		Verbose:       r.verbose,
-		Out:           r.out,
-		Collector:     r.collector,
-		Events:        r.sink,
-		CampaignJSON:  r.campaignJSON,
-		CampaignStore: r.campaignStore,
-	})
+	return e.Run(ctx, r.opts)
 }
 
 // RunCampaign executes the statistical crash-injection campaign over
@@ -369,54 +339,7 @@ func (r *Runner) RunExperiment(ctx context.Context, name string) (*Table, error)
 // with WithCampaignJSON, the enveloped report is written to disk; with
 // WithEventSink, every injection streams an InjectionDone event.
 func (r *Runner) RunCampaign(ctx context.Context) (*CampaignReport, error) {
-	cfg := campaign.Config{
-		Scale:       r.scale,
-		Seed:        r.seed,
-		Parallel:    r.parallel,
-		PerCell:     r.perCell,
-		Workloads:   r.workloads,
-		Schemes:     r.schemes,
-		FaultModels: r.faultModels,
-		Registry:    r.reg.engineRegistry(),
-		Replay:      r.replay,
-		Events:      r.sink,
-		Completed:   r.completed,
-		OnCell:      r.onCell,
-		Verbose:     r.verbose,
-		Out:         r.out,
-	}
-	var fw *resultstore.FileWriter
-	if r.campaignStore != "" {
-		// The store footer carries the same normalized scale the report
-		// records, so the rebuilt envelope is byte-identical.
-		scale := cfg.Scale
-		if scale <= 0 {
-			scale = 1.0
-		}
-		var err error
-		if fw, err = resultstore.CreateFile(r.campaignStore, scale, cfg.Seed); err != nil {
-			return nil, err
-		}
-		cfg.Sink = fw
-	}
-	rep, err := campaign.Run(ctx, cfg)
-	if fw != nil {
-		if cerr := fw.Close(); err == nil && cerr != nil {
-			err = fmt.Errorf("adcc: write campaign store: %w", cerr)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range rep.BenchResults() {
-		r.collector.Record(res)
-	}
-	if r.campaignJSON != "" {
-		if err := report.WrapCampaign(rep).WriteFile(r.campaignJSON); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
+	return harness.Campaign(ctx, r.opts, r.completed, r.onCell)
 }
 
 // CampaignTable renders a campaign report as the per-scheme survival
@@ -426,7 +349,7 @@ func CampaignTable(rep *CampaignReport) *Table {
 }
 
 func (r *Runner) logf(format string, args ...any) {
-	if r.verbose && r.out != nil {
-		fmt.Fprintf(r.out, format+"\n", args...)
+	if r.opts.Verbose && r.opts.Out != nil {
+		fmt.Fprintf(r.opts.Out, format+"\n", args...)
 	}
 }
